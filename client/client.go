@@ -333,7 +333,7 @@ func (c *Client) CompressResult(ctx context.Context, ts *lzwtc.TestSet, cfg lzwt
 	if err != nil {
 		return nil, err
 	}
-	return lzwtc.DecodeWireResult(data)
+	return lzwtc.ReadWireResult(bytes.NewReader(data))
 }
 
 // Decompress sends a wire container for remote decompression and

@@ -1,7 +1,7 @@
 // Command lzwtc compresses and decompresses scan test sets.
 //
 // Test sets are text files with one pattern of '0'/'1'/'X' per line.
-// Compressed files are self-describing containers.
+// Compressed files are self-describing, CRC-framed wire containers.
 //
 //	lzwtc compress  -in cubes.txt -out cubes.lzw [-char 7 -dict 1024 -entry 63]
 //	lzwtc decompress -in cubes.lzw -out filled.txt
@@ -21,7 +21,6 @@
 package main
 
 import (
-	"bytes"
 	"context"
 	"errors"
 	"flag"
@@ -104,15 +103,6 @@ type nopWriteCloser struct{ io.Writer }
 
 func (nopWriteCloser) Close() error { return nil }
 
-// decodeAnyContainer parses either container generation into a Result
-// (wire containers must be single-frame; sharded ones only decompress).
-func decodeAnyContainer(data []byte) (*lzwtc.Result, error) {
-	if lzwtc.IsWireContainer(data) {
-		return lzwtc.DecodeWireResult(data)
-	}
-	return lzwtc.DecodeResult(data)
-}
-
 // lazyDictResolver opens the local dictionary store only when a
 // container actually names a dictionary, so plain wire containers
 // never touch (or create) the store directory.
@@ -147,8 +137,7 @@ func compress(args []string) error {
 	fs := flag.NewFlagSet("compress", flag.ExitOnError)
 	in := fs.String("in", "-", "input cube file (- for stdin)")
 	out := fs.String("out", "-", "output container (- for stdout)")
-	wireOut := fs.Bool("wire", false, "write the versioned wire format (CRC framing) instead of the legacy container")
-	dictID := fs.String("dict-id", "", "stored dictionary key to warm-start from (implies wire output with a 'D' frame)")
+	dictID := fs.String("dict-id", "", "stored dictionary key to warm-start from (the container gets a 'D' frame naming it)")
 	dictStore := fs.String("dict-store", ".lzwtcdicts", "local dictionary store directory for -dict-id")
 	cfg := configFlags(fs)
 	opts := telemetryFlags(fs)
@@ -171,8 +160,8 @@ func compress(args []string) error {
 	}
 
 	// A dictionary-warmed compression resolves the preload from the
-	// local store and always writes the wire form: only the 'D' frame
-	// can tell the decompressor which dictionary to reinstall.
+	// local store; the container's 'D' frame tells the decompressor
+	// which dictionary to reinstall.
 	var pre *lzwtc.Preload
 	var ref lzwtc.DictRef
 	if *dictID != "" {
@@ -192,12 +181,7 @@ func compress(args []string) error {
 		pre, ref = ent.Pre, lzwtc.DictEntryRef(ent)
 	}
 
-	var res *lzwtc.Result
-	if pre != nil {
-		res, err = lzwtc.CompressPreloadedObservedCtx(context.Background(), ts, *cfg, pre, rec)
-	} else {
-		res, err = lzwtc.CompressObserved(ts, *cfg, rec)
-	}
+	res, err := lzwtc.Compress(ts, *cfg, lzwtc.WithTrace(context.Background(), rec), lzwtc.WithPreload(pre))
 	if err != nil {
 		return err
 	}
@@ -206,13 +190,10 @@ func compress(args []string) error {
 		return err
 	}
 	defer w.Close()
-	switch {
-	case pre != nil:
+	if pre != nil {
 		err = res.WriteWireDictResult(w, ref)
-	case *wireOut:
+	} else {
 		err = res.WriteWire(w)
-	default:
-		_, err = w.Write(res.Encode())
 	}
 	if err != nil {
 		return err
@@ -244,27 +225,11 @@ func decompress(args []string) error {
 		return err
 	}
 	defer r.Close()
-	data, err := io.ReadAll(r)
-	if err != nil {
-		return err
-	}
-	// Both container generations decompress: the versioned wire format
-	// (CRC-framed, the batch and service default) is sniffed by magic,
-	// anything else is tried as a legacy LZWTC1/TS container. A wire
-	// container naming a shared dictionary resolves it through the
-	// local store; plain containers never open the store.
-	var ts *lzwtc.TestSet
+	// A container naming a shared dictionary resolves it through the
+	// local store; plain containers never open the store. Anything that
+	// is not a wire container fails with ErrWireBadMagic.
 	sp := rec.Span("decompress")
-	if lzwtc.IsWireContainer(data) {
-		ts, err = lzwtc.DecompressWireDictObserved(context.Background(), bytes.NewReader(data),
-			lazyDictResolver{dir: *dictStore}, rec)
-	} else {
-		var res *lzwtc.Result
-		res, err = lzwtc.DecodeResult(data)
-		if err == nil {
-			ts, err = lzwtc.Decompress(res)
-		}
-	}
+	ts, err := lzwtc.DecompressWireDict(r, lazyDictResolver{dir: *dictStore}, lzwtc.WithTrace(context.Background(), rec))
 	sp.End(telemetry.F("patterns", patternCount(ts)))
 	if err != nil {
 		return err
@@ -296,11 +261,7 @@ func info(args []string) error {
 		return err
 	}
 	defer r.Close()
-	data, err := io.ReadAll(r)
-	if err != nil {
-		return err
-	}
-	res, err := decodeAnyContainer(data)
+	res, err := lzwtc.ReadWireResult(r)
 	if err != nil {
 		return err
 	}

@@ -77,7 +77,7 @@ func stats(ctx context.Context, args []string) error {
 		return err
 	}
 	cctx, sp := rec.StartSpan(rctx, SpanStatsCompress)
-	res, err := lzwtc.CompressObservedCtx(cctx, ts, *cfg, rec)
+	res, err := lzwtc.Compress(ts, *cfg, lzwtc.WithTrace(cctx, rec))
 	sp.End()
 	if err != nil {
 		return err
@@ -99,7 +99,7 @@ func stats(ctx context.Context, args []string) error {
 	_, sp = rec.StartSpan(rctx, SpanStatsDecompress)
 	if cfg.EntryBits > 0 && cfg.Full == lzwtc.FullFreeze {
 		var st *lzwtc.DownloadStats
-		filled, st, _, err = lzwtc.SimulateDownloadObserved(res, *ratio, rec)
+		filled, st, _, err = lzwtc.SimulateDownload(res, *ratio, lzwtc.WithTrace(rctx, rec))
 		if err == nil {
 			record.AttachDownload(*ratio, st)
 		}

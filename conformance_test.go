@@ -18,7 +18,8 @@ var updateConformance = flag.Bool("update", false, "regenerate the conformance c
 // conformanceCase is one golden corpus entry: a deterministic test-set
 // builder and the configuration it is compressed under. Three files are
 // committed per case: <name>.cubes (the input cubes), <name>.lzw (the
-// encoded container — pins the compressor's exact output) and
+// wire container — pins the compressor's exact output together with
+// the full Config, geometry and per-region CRCs) and
 // <name>.expected (the fully specified decompressed set).
 type conformanceCase struct {
 	name  string
@@ -98,9 +99,9 @@ func conformancePath(name, ext string) string {
 
 // TestConformance round-trips every committed corpus entry and pins the
 // compressor's exact bit stream: the builder must reproduce the
-// committed cubes, compressing them must reproduce the committed
-// container byte for byte, and decoding + decompressing the container
-// must reproduce the committed fully specified set while preserving
+// committed cubes, compressing them must reproduce the committed wire
+// container byte for byte, and decompressing the container must
+// reproduce the committed fully specified set while preserving
 // every care bit. Run `go test -run TestConformance -update` after an
 // intentional compressor change to regenerate the corpus.
 func TestConformance(t *testing.T) {
@@ -126,16 +127,16 @@ func TestConformance(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
+			var lzwBuf bytes.Buffer
+			if err := res.WriteWire(&lzwBuf); err != nil {
+				t.Fatal(err)
+			}
 			wantLzw := readConformance(t, c.name, ".lzw")
-			if !bytes.Equal(res.Encode(), wantLzw) {
+			if !bytes.Equal(lzwBuf.Bytes(), wantLzw) {
 				t.Fatalf("compressed container differs from %s — the compressor's output changed.\n%s", conformancePath(c.name, ".lzw"), regenHint)
 			}
 
-			decoded, err := DecodeResult(wantLzw)
-			if err != nil {
-				t.Fatalf("decoding committed container: %v", err)
-			}
-			filled, err := Decompress(decoded)
+			filled, err := DecompressWire(bytes.NewReader(wantLzw))
 			if err != nil {
 				t.Fatalf("decompressing committed container: %v", err)
 			}
@@ -183,7 +184,11 @@ func regenerateConformance() error {
 		if err != nil {
 			return fmt.Errorf("%s: %w", c.name, err)
 		}
-		if err := os.WriteFile(conformancePath(c.name, ".lzw"), res.Encode(), 0o644); err != nil {
+		var lzwBuf bytes.Buffer
+		if err := res.WriteWire(&lzwBuf); err != nil {
+			return err
+		}
+		if err := os.WriteFile(conformancePath(c.name, ".lzw"), lzwBuf.Bytes(), 0o644); err != nil {
 			return err
 		}
 		filled, err := Decompress(res)

@@ -23,7 +23,7 @@ func dictBenchChars(b *testing.B, ts *TestSet, cfg Config) int {
 	if err != nil {
 		b.Fatal(err)
 	}
-	res, err := CompressPreloaded(ts, cfg, pre)
+	res, err := Compress(ts, cfg, WithPreload(pre))
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -41,7 +41,7 @@ func BenchmarkDictColdTrain(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		if _, err := CompressPreloaded(ts, cfg, pre); err != nil {
+		if _, err := Compress(ts, cfg, WithPreload(pre)); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -75,7 +75,7 @@ func BenchmarkDictWarmStore(b *testing.B) {
 		if src != dictstore.SourceMem {
 			b.Fatalf("resolved from %v mid-benchmark", src)
 		}
-		if _, err := CompressPreloaded(ts, cfg, ent.Pre); err != nil {
+		if _, err := Compress(ts, cfg, WithPreload(ent.Pre)); err != nil {
 			b.Fatal(err)
 		}
 	}

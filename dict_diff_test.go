@@ -59,20 +59,19 @@ func TestDictDifferentialCompression(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			base, err := CompressPreloaded(ts, cfg, basePre)
-			if err != nil {
-				t.Fatal(err)
-			}
-			want := base.Encode()
-
 			compressVia := func(pre *Preload) []byte {
 				t.Helper()
-				res, err := CompressPreloaded(ts, cfg, pre)
+				res, err := Compress(ts, cfg, WithPreload(pre))
 				if err != nil {
 					t.Fatal(err)
 				}
-				return res.Encode()
+				var buf bytes.Buffer
+				if err := res.WriteWire(&buf); err != nil {
+					t.Fatal(err)
+				}
+				return buf.Bytes()
 			}
+			want := compressVia(basePre)
 
 			dir := t.TempDir()
 			store, err := OpenDictStore(DictStoreConfig{Dir: dir})
@@ -161,11 +160,11 @@ func TestDictDifferentialWireRoundTrip(t *testing.T) {
 			}
 			ref := DictEntryRef(ent)
 
-			res, err := CompressPreloaded(ts, cfg, ent.Pre)
+			res, err := Compress(ts, cfg, WithPreload(ent.Pre))
 			if err != nil {
 				t.Fatal(err)
 			}
-			wantSet, err := DecompressPreloaded(res, ent.Pre)
+			wantSet, err := Decompress(res, WithPreload(ent.Pre))
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -216,9 +215,13 @@ func TestDictDifferentialWireRoundTrip(t *testing.T) {
 			}
 
 			// A container naming a dictionary nobody has fails typed, and a
-			// resolver-less receiver reports the same class.
+			// resolver-less receiver — DecompressWire included — reports the
+			// same class.
 			if _, err := DecompressWireDict(bytes.NewReader(buf.Bytes()), nil); !errors.Is(err, ErrDictNotFound) {
 				t.Fatalf("resolver-less decode: got %v, want ErrDictNotFound", err)
+			}
+			if _, err := DecompressWire(bytes.NewReader(buf.Bytes())); !errors.Is(err, ErrDictNotFound) {
+				t.Fatalf("DecompressWire on a 'D' container: got %v, want ErrDictNotFound", err)
 			}
 			empty, err := OpenDictStore(DictStoreConfig{})
 			if err != nil {

@@ -1,7 +1,9 @@
 package lzwtc
 
 import (
+	"lzwtc/internal/ate"
 	"lzwtc/internal/decomp"
+	"lzwtc/internal/mem"
 )
 
 // DownloadStats is the cycle accounting of a simulated test download
@@ -18,8 +20,33 @@ type DownloadStats = decomp.Stats
 //
 // The configuration must be hardware-realizable: bounded entries
 // (EntryBits > 0) and the freeze dictionary-full policy.
-func SimulateDownload(r *Result, clockRatio int) (*TestSet, *DownloadStats, float64, error) {
-	return SimulateDownloadObserved(r, clockRatio, nil)
+//
+// WithTrace's recorder sees the model charge cycles, memory reads and
+// load stalls to individual scan patterns (decomp.pattern events) and
+// fold its run totals into its registry.
+func SimulateDownload(r *Result, clockRatio int, opts ...Option) (*TestSet, *DownloadStats, float64, error) {
+	cfg := r.Stream.Cfg
+	words, width := decomp.MemoryGeometry(cfg)
+	shared := mem.NewShared(mem.New(words, width))
+	shared.Select(mem.SrcLZW)
+	hw, err := decomp.New(cfg, clockRatio, shared)
+	if err != nil {
+		return nil, nil, 0, err
+	}
+	hw.SetRecorder(options(opts).rec)
+	// Pattern boundaries in the scan stream fall on the aligned width
+	// (each pattern is padded to a character boundary).
+	cc := cfg.CharBits
+	hw.SetPatternBits((r.Width + cc - 1) / cc * cc)
+	stream, stats, err := hw.Run(r.Stream.Pack(), len(r.Stream.Codes), r.Stream.InputBits)
+	if err != nil {
+		return nil, nil, 0, err
+	}
+	ts, err := DecompressedSetFromStream(stream, r)
+	if err != nil {
+		return nil, nil, 0, err
+	}
+	return ts, stats, ate.Improvement(r.OriginalBits, stats.TesterCycles), nil
 }
 
 // PredictDownloadCycles computes the download time in tester cycles in

@@ -61,24 +61,6 @@ func (r *Result) Pack() []byte {
 	return w.Bytes()
 }
 
-// UnpackCodes parses n fixed-width codes from a packed stream.
-func UnpackCodes(data []byte, n int, cfg Config) ([]Code, error) {
-	if err := cfg.Validate(); err != nil {
-		return nil, err
-	}
-	r := bitio.NewReader(data, -1)
-	cb := cfg.CodeBits()
-	codes := make([]Code, 0, n)
-	for i := 0; i < n; i++ {
-		v, err := r.ReadBits(cb)
-		if err != nil {
-			return nil, fmt.Errorf("core: truncated code stream at code %d: %w", i, err)
-		}
-		codes = append(codes, Code(v))
-	}
-	return codes, nil
-}
-
 // TraceEntry describes a dictionary entry creation in a trace.
 type TraceEntry struct {
 	Code Code
@@ -111,31 +93,15 @@ func (ev TraceEvent) String() string {
 		ev.Step, ev.Buffer, ev.BufferStr, ev.Input, ev.RawInput, em, ne)
 }
 
-// Compress compresses a three-valued stream under cfg.
-func Compress(stream *bitvec.Vector, cfg Config) (*Result, error) {
-	return CompressObserved(stream, cfg, nil)
-}
-
-// CompressObserved is Compress instrumented through a telemetry
-// recorder: per-code match-length and dictionary-occupancy histograms
-// into the recorder's registry, and a run record (EventCompressRun) to
-// its sinks. A nil recorder is the production fast path — it costs one
-// pointer check per emitted code.
-func CompressObserved(stream *bitvec.Vector, cfg Config, rec *telemetry.Recorder) (*Result, error) {
-	return CompressObservedCtx(context.Background(), stream, cfg, rec)
-}
-
-// CompressObservedCtx is CompressObserved threaded through a context:
-// when ctx carries a trace span (and rec has sinks), the dictionary
-// build and the match loop are recorded as child spans of it, so a
-// request trace attributes compression time to its internal phases.
-// With a nil recorder the context is never touched — the disabled path
-// stays one pointer check and adds no allocations.
-func CompressObservedCtx(ctx context.Context, stream *bitvec.Vector, cfg Config, rec *telemetry.Recorder) (*Result, error) {
-	if err := cfg.Validate(); err != nil {
-		return nil, err
-	}
-	return compressInternal(ctx, stream, cfg, rec, func() (*dict, error) { return acquireDict(cfg, rec), nil })
+// Compress compresses a three-valued stream under cfg. WithTrace
+// instruments the run: per-code match-length and dictionary-occupancy
+// histograms into the recorder's registry, a run record
+// (EventCompressRun) to its sinks, and — when the context carries a
+// trace span — the dictionary build and the match loop as child spans.
+// Without a recorder the context is never touched: the fast path is one
+// pointer check per emitted code and adds no allocations.
+func Compress(stream *bitvec.Vector, cfg Config, opts ...Option) (*Result, error) {
+	return CompressWithPreload(stream, cfg, nil, opts...)
 }
 
 // CompressTrace is Compress with a per-step trace callback (used to
@@ -160,11 +126,6 @@ func traceRecorder(trace func(TraceEvent)) *telemetry.Recorder {
 			trace(te)
 		}
 	}))
-}
-
-// compressWithDict is the preloaded-dictionary entry point.
-func compressWithDict(stream *bitvec.Vector, cfg Config, mk func() (*dict, error)) (*Result, error) {
-	return compressInternal(context.Background(), stream, cfg, nil, mk)
 }
 
 func compressInternal(ctx context.Context, stream *bitvec.Vector, cfg Config, rec *telemetry.Recorder, mk func() (*dict, error)) (*Result, error) {

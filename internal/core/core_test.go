@@ -6,6 +6,7 @@ import (
 	"testing"
 	"testing/quick"
 
+	"lzwtc/internal/bitio"
 	"lzwtc/internal/bitvec"
 )
 
@@ -273,46 +274,18 @@ func TestPackUnpack(t *testing.T) {
 	if got, want := len(packed), (len(res.Codes)*res.Cfg.CodeBits()+7)/8; got != want {
 		t.Fatalf("packed %d bytes, want %d", got, want)
 	}
-	codes, err := UnpackCodes(packed, len(res.Codes), res.Cfg)
-	if err != nil {
-		t.Fatal(err)
+	// Codes are fixed-width C_E-bit fields, MSB first, back to back.
+	r := bitio.NewReader(packed, -1)
+	codes := make([]Code, len(res.Codes))
+	for i := range codes {
+		v, err := r.ReadBits(res.Cfg.CodeBits())
+		if err != nil {
+			t.Fatalf("code %d: %v", i, err)
+		}
+		codes[i] = Code(v)
 	}
 	if !reflect.DeepEqual(codes, res.Codes) {
 		t.Fatal("unpacked codes differ")
-	}
-	if _, err := UnpackCodes(packed[:1], len(res.Codes), res.Cfg); err == nil {
-		t.Error("truncated stream accepted")
-	}
-}
-
-func TestContainerRoundTrip(t *testing.T) {
-	rng := rand.New(rand.NewSource(9))
-	stream := randomCube(rng, 4000, 0.8)
-	cfg := Config{CharBits: 5, DictSize: 300, EntryBits: 40, Fill: FillRepeat, Tie: TieNewest, Full: FullReset}
-	res, err := Compress(stream, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	dec, err := Decode(res.Encode())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if dec.Cfg != cfg || dec.InputBits != stream.Len() || !reflect.DeepEqual(dec.Codes, res.Codes) {
-		t.Fatal("container round trip mismatch")
-	}
-	out, err := Decompress(dec.Codes, dec.Cfg, dec.InputBits)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !stream.CompatibleWith(out) {
-		t.Fatal("container output violates care bits")
-	}
-	if _, err := Decode([]byte("not a container")); err == nil {
-		t.Error("bad magic accepted")
-	}
-	enc := res.Encode()
-	if _, err := Decode(enc[:len(enc)-2]); err == nil {
-		t.Error("truncated container accepted")
 	}
 }
 

@@ -1,11 +1,9 @@
 package core
 
 import (
-	"context"
 	"fmt"
 
 	"lzwtc/internal/bitvec"
-	"lzwtc/internal/telemetry"
 )
 
 // DecompressTraceEvent reports one decompressor step, mirroring the
@@ -22,20 +20,10 @@ type DecompressTraceEvent struct {
 // Decompress inverts a code sequence produced by Compress under the same
 // configuration. outBits is the original stream length; the decompressed
 // stream is truncated to it (the final character may have been X-padded).
-// The returned vector is fully specified.
-func Decompress(codes []Code, cfg Config, outBits int) (*bitvec.Vector, error) {
-	return DecompressTrace(codes, cfg, outBits, nil)
-}
-
-// DecompressObservedCtx is Decompress wrapped in a SpanDecode trace
-// span: when ctx carries a span and rec has sinks, the frame's software
-// decompression is recorded as a child span carrying the code count and
-// output length. A nil recorder adds one pointer check.
-func DecompressObservedCtx(ctx context.Context, codes []Code, cfg Config, outBits int, rec *telemetry.Recorder) (*bitvec.Vector, error) {
-	_, sp := rec.StartSpan(ctx, SpanDecode)
-	out, err := Decompress(codes, cfg, outBits)
-	sp.End(telemetry.F("codes", len(codes)), telemetry.F("out_bits", outBits))
-	return out, err
+// The returned vector is fully specified. WithTrace records the run as
+// a SpanDecode child span; without a recorder it adds one pointer check.
+func Decompress(codes []Code, cfg Config, outBits int, opts ...Option) (*bitvec.Vector, error) {
+	return DecompressWithPreload(codes, cfg, nil, outBits, opts...)
 }
 
 // DecompressTrace is Decompress with an optional per-step trace callback

@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"testing"
 
-	"lzwtc/internal/bitio"
 	"lzwtc/internal/bitvec"
 )
 
@@ -54,9 +53,9 @@ func fuzzStream(data []byte) *bitvec.Vector {
 }
 
 // FuzzRoundTrip checks the full pipeline on arbitrary streams and
-// configurations: Compress -> Pack -> UnpackCodes must reproduce the
-// code sequence bit-exactly, and Decompress must yield a fully
-// specified stream compatible with every care bit of the input.
+// configurations: Decompress must yield a fully specified stream
+// compatible with every care bit of the input. (The Pack -> unpack leg
+// is internal/wire's TestPackUnpackCodes and FuzzWireRoundTrip.)
 func FuzzRoundTrip(f *testing.F) {
 	cfgPrefix := func(b ...byte) []byte { return b }
 	f.Add(append(cfgPrefix(1, 0, 0, 0, 0, 0), 0x00, 0x11, 0x44, 0x00)) // 2-bit chars, fully specified
@@ -81,20 +80,6 @@ func FuzzRoundTrip(f *testing.F) {
 			t.Fatalf("Compress: %v", err)
 		}
 
-		packed := res.Pack()
-		codes, err := UnpackCodes(packed, len(res.Codes), cfg)
-		if err != nil {
-			t.Fatalf("UnpackCodes: %v", err)
-		}
-		if len(codes) != len(res.Codes) {
-			t.Fatalf("UnpackCodes returned %d codes, want %d", len(codes), len(res.Codes))
-		}
-		for i := range codes {
-			if codes[i] != res.Codes[i] {
-				t.Fatalf("code %d: packed round trip gave %d, want %d", i, codes[i], res.Codes[i])
-			}
-		}
-
 		out, err := Decompress(res.Codes, cfg, res.InputBits)
 		if err != nil {
 			t.Fatalf("Decompress: %v", err)
@@ -104,51 +89,6 @@ func FuzzRoundTrip(f *testing.F) {
 		}
 		if !stream.CompatibleWith(out) {
 			t.Fatalf("decompressed stream violates a care bit of the input")
-		}
-	})
-}
-
-// FuzzUnpackCodes feeds arbitrary bytes to the code-stream parser: it
-// must never panic, and whenever it succeeds, re-packing the parsed
-// codes must reproduce the consumed prefix of the input bit-exactly.
-func FuzzUnpackCodes(f *testing.F) {
-	f.Add([]byte{}, uint16(0), byte(0))
-	f.Add([]byte{0xff, 0xff, 0xff, 0xff}, uint16(4), byte(3))     // max-width all-ones codes
-	f.Add([]byte{0x00, 0x00, 0x00, 0x00}, uint16(7), byte(1))     // all-zero codes
-	f.Add(bytes.Repeat([]byte{0xa5}, 16), uint16(12), byte(255))  // patterned stream
-	f.Add([]byte{0x12}, uint16(9), byte(2))                       // truncated stream
-	f.Add(bytes.Repeat([]byte{0xff}, 64), uint16(500), byte(129)) // long all-X-shaped input
-
-	f.Fuzz(func(t *testing.T, data []byte, n uint16, seed byte) {
-		cfg := fuzzConfig([]byte{seed, seed >> 3, 0, 0, 0, 0})
-		if err := cfg.Validate(); err != nil {
-			t.Fatalf("derived config invalid: %v", err)
-		}
-		want := int(n) % 1024
-		codes, err := UnpackCodes(data, want, cfg)
-		if err != nil {
-			return // truncated input: rejection is the correct outcome
-		}
-		if len(codes) != want {
-			t.Fatalf("UnpackCodes returned %d codes, want %d", len(codes), want)
-		}
-		repacked := (&Result{Cfg: cfg, Codes: codes}).Pack()
-		nbits := want * cfg.CodeBits()
-		a := bitio.NewReader(data, nbits)
-		b := bitio.NewReader(repacked, nbits)
-		for off := 0; off < nbits; off += 64 {
-			w := nbits - off
-			if w > 64 {
-				w = 64
-			}
-			av, aerr := a.ReadBits(w)
-			bv, berr := b.ReadBits(w)
-			if aerr != nil || berr != nil {
-				t.Fatalf("re-read at bit %d: %v / %v", off, aerr, berr)
-			}
-			if av != bv {
-				t.Fatalf("re-packed stream diverges at bit %d: %#x != %#x", off, bv, av)
-			}
 		}
 	})
 }

@@ -1,7 +1,6 @@
 package core
 
 import (
-	"context"
 	"fmt"
 
 	"lzwtc/internal/bitvec"
@@ -134,64 +133,51 @@ func replayInto(d *dict, codes []Code) (int, error) {
 }
 
 // CompressWithPreload is Compress starting from a warm dictionary. The
-// decompressor must be given the same preload.
-func CompressWithPreload(stream *bitvec.Vector, cfg Config, pre *Preload) (*Result, error) {
-	return CompressWithPreloadObservedCtx(context.Background(), stream, cfg, pre, nil)
-}
-
-// CompressWithPreloadObservedCtx is CompressWithPreload instrumented
-// through a telemetry recorder and a trace context, mirroring
-// CompressObservedCtx: the shared-dictionary service path uses it so a
-// dictionary-warmed request still attributes its compression phases.
-func CompressWithPreloadObservedCtx(ctx context.Context, stream *bitvec.Vector, cfg Config, pre *Preload, rec *telemetry.Recorder) (*Result, error) {
-	if err := cfg.Validate(); err != nil {
+// decompressor must be given the same preload; a nil or empty preload
+// is plain Compress.
+func CompressWithPreload(stream *bitvec.Vector, cfg Config, pre *Preload, opts ...Option) (*Result, error) {
+	if err := checkPreload(cfg, pre); err != nil {
 		return nil, err
 	}
-	if pre.Entries() == 0 {
-		return CompressObservedCtx(ctx, stream, cfg, rec)
-	}
-	if cfg.Full == FullReset {
-		return nil, fmt.Errorf("core: FullReset would discard the preloaded dictionary inconsistently")
-	}
-	// Compress via the normal path but with a preloaded dictionary: the
-	// implementation mirrors CompressTrace with a custom dict factory.
-	return compressInternal(ctx, stream, cfg, rec, func() (*dict, error) {
-		d := acquireDict(cfg, rec)
-		if err := d.preload(pre); err != nil {
-			releaseDict(d)
-			return nil, err
-		}
-		return d, nil
-	})
+	o := options(opts)
+	return compressInternal(o.ctx, stream, cfg, o.rec, func() (*dict, error) { return preloadedDict(cfg, pre, o.rec) })
 }
 
-// DecompressWithPreloadObservedCtx is DecompressWithPreload under a
-// SpanDecode trace span, mirroring DecompressObservedCtx for the
-// dictionary-warmed service path.
-func DecompressWithPreloadObservedCtx(ctx context.Context, codes []Code, cfg Config, pre *Preload, outBits int, rec *telemetry.Recorder) (*bitvec.Vector, error) {
-	_, sp := rec.StartSpan(ctx, SpanDecode)
-	out, err := DecompressWithPreload(codes, cfg, pre, outBits)
+// DecompressWithPreload inverts CompressWithPreload; a nil or empty
+// preload is plain Decompress. WithTrace records the run as a
+// SpanDecode child span carrying the code count and output length.
+func DecompressWithPreload(codes []Code, cfg Config, pre *Preload, outBits int, opts ...Option) (*bitvec.Vector, error) {
+	if err := checkPreload(cfg, pre); err != nil {
+		return nil, err
+	}
+	mk := func() (*dict, error) { return preloadedDict(cfg, pre, nil) }
+	o := options(opts)
+	if o.rec == nil {
+		return decompressWithDict(codes, cfg, outBits, nil, mk)
+	}
+	_, sp := o.rec.StartSpan(o.ctx, SpanDecode)
+	out, err := decompressWithDict(codes, cfg, outBits, nil, mk)
 	sp.End(telemetry.F("codes", len(codes)), telemetry.F("out_bits", outBits))
 	return out, err
 }
 
-// DecompressWithPreload inverts CompressWithPreload.
-func DecompressWithPreload(codes []Code, cfg Config, pre *Preload, outBits int) (*bitvec.Vector, error) {
+func checkPreload(cfg Config, pre *Preload) error {
 	if err := cfg.Validate(); err != nil {
+		return err
+	}
+	if pre.Entries() > 0 && cfg.Full == FullReset {
+		return fmt.Errorf("core: FullReset would discard the preloaded dictionary inconsistently")
+	}
+	return nil
+}
+
+// preloadedDict acquires a dictionary with pre installed; a nil or
+// empty preload leaves it fresh.
+func preloadedDict(cfg Config, pre *Preload, rec *telemetry.Recorder) (*dict, error) {
+	d := acquireDict(cfg, rec)
+	if err := d.preload(pre); err != nil {
+		releaseDict(d)
 		return nil, err
 	}
-	if pre.Entries() == 0 {
-		return Decompress(codes, cfg, outBits)
-	}
-	if cfg.Full == FullReset {
-		return nil, fmt.Errorf("core: FullReset would discard the preloaded dictionary inconsistently")
-	}
-	return decompressWithDict(codes, cfg, outBits, nil, func() (*dict, error) {
-		d := acquireDict(cfg, nil)
-		if err := d.preload(pre); err != nil {
-			releaseDict(d)
-			return nil, err
-		}
-		return d, nil
-	})
+	return d, nil
 }

@@ -1,6 +1,40 @@
 package core
 
-import "lzwtc/internal/telemetry"
+import (
+	"context"
+
+	"lzwtc/internal/telemetry"
+)
+
+// Option adjusts one Compress or Decompress call. Options are plain
+// values rather than closures: a call with no options, or with a
+// disabled WithTrace, allocates exactly what the bare call does.
+type Option struct {
+	ctx context.Context
+	rec *telemetry.Recorder
+}
+
+// WithTrace instruments a call through rec, attributing its phases as
+// child spans of the trace span ctx carries (if any). A nil recorder
+// keeps the uninstrumented fast path and never touches ctx.
+func WithTrace(ctx context.Context, rec *telemetry.Recorder) Option {
+	return Option{ctx: ctx, rec: rec}
+}
+
+// options folds a call's options into one value; a later option's
+// non-zero fields win.
+func options(opts []Option) Option {
+	o := Option{ctx: context.Background()}
+	for _, op := range opts {
+		if op.ctx != nil {
+			o.ctx = op.ctx
+		}
+		if op.rec != nil {
+			o.rec = op.rec
+		}
+	}
+	return o
+}
 
 // Event kinds the compressor and software decompressor emit through a
 // telemetry recorder. Per-step events carry their paper-figure payload

@@ -2,6 +2,7 @@ package core
 
 import (
 	"bytes"
+	"context"
 	"fmt"
 	"strings"
 	"testing"
@@ -80,7 +81,7 @@ func TestCompressStepEventsMatchTraceCallback(t *testing.T) {
 
 	var buf bytes.Buffer
 	rec := telemetry.New(nil, telemetry.NewJSONLSink(&buf))
-	if _, err := CompressObserved(stream, cfg, rec); err != nil {
+	if _, err := Compress(stream, cfg, WithTrace(context.Background(), rec)); err != nil {
 		t.Fatal(err)
 	}
 	var sinkSteps int
@@ -105,7 +106,7 @@ func TestCompressObservedMetrics(t *testing.T) {
 	cfg := Config{CharBits: 2, DictSize: 16, EntryBits: 0}
 	reg := telemetry.NewRegistry()
 	rec := telemetry.New(reg)
-	res, err := CompressObserved(stream, cfg, rec)
+	res, err := Compress(stream, cfg, WithTrace(context.Background(), rec))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -148,7 +149,7 @@ func TestCompressObservedEmptyRun(t *testing.T) {
 	reg := telemetry.NewRegistry()
 	var events []telemetry.Event
 	rec := telemetry.New(reg, telemetry.SinkFunc(func(ev telemetry.Event) { events = append(events, ev) }))
-	res, err := CompressObserved(bitvec.New(0), DefaultConfig(), rec)
+	res, err := Compress(bitvec.New(0), DefaultConfig(), WithTrace(context.Background(), rec))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -185,7 +186,7 @@ func TestCompressNilRecorderMatchesObserved(t *testing.T) {
 		t.Fatal(err)
 	}
 	rec := telemetry.New(telemetry.NewRegistry(), telemetry.NewJSONLSink(&bytes.Buffer{}))
-	obs, err := CompressObserved(stream, cfg, rec)
+	obs, err := Compress(stream, cfg, WithTrace(context.Background(), rec))
 	if err != nil {
 		t.Fatal(err)
 	}

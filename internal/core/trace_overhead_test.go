@@ -16,8 +16,8 @@ func traceCtx() context.Context {
 }
 
 // BenchmarkCompressTraceDisabled is the acceptance benchmark for the
-// trace-instrumented disabled path: CompressObservedCtx with a span
-// context in ctx and a nil recorder. scripts/check_trace_overhead.sh
+// trace-instrumented disabled path: Compress with WithTrace(ctx, nil),
+// ctx carrying a span context. scripts/check_trace_overhead.sh
 // gates it against BenchmarkCompressTelemetryDisabled at <= 3%.
 func BenchmarkCompressTraceDisabled(b *testing.B) {
 	stream, cfg := overheadWorkload()
@@ -25,7 +25,7 @@ func BenchmarkCompressTraceDisabled(b *testing.B) {
 	b.SetBytes(int64(stream.Len() / 8))
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := CompressObservedCtx(ctx, stream, cfg, nil); err != nil {
+		if _, err := Compress(stream, cfg, WithTrace(ctx, nil)); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -39,16 +39,16 @@ func TestTraceDisabledAllocParity(t *testing.T) {
 	ctx := traceCtx()
 	// Warm the dict arena so both measurements recycle rather than
 	// racing each other for the first fresh allocation.
-	if _, err := CompressObserved(stream, cfg, nil); err != nil {
+	if _, err := Compress(stream, cfg); err != nil {
 		t.Fatal(err)
 	}
 	base := testing.AllocsPerRun(10, func() {
-		if _, err := CompressObserved(stream, cfg, nil); err != nil {
+		if _, err := Compress(stream, cfg); err != nil {
 			t.Fatal(err)
 		}
 	})
 	traced := testing.AllocsPerRun(10, func() {
-		if _, err := CompressObservedCtx(ctx, stream, cfg, nil); err != nil {
+		if _, err := Compress(stream, cfg, WithTrace(ctx, nil)); err != nil {
 			t.Fatal(err)
 		}
 	})

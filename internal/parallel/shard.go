@@ -109,13 +109,7 @@ func compressShardedPre(ctx context.Context, cs *bitvec.CubeSet, cfg core.Config
 		_, ssp := opts.Recorder.StartSpan(jctx, core.SpanSerialize)
 		stream := g.SerializeAligned(cfg.CharBits)
 		ssp.End(telemetry.F("bits", stream.Len()))
-		var res *core.Result
-		var e error
-		if pre != nil {
-			res, e = core.CompressWithPreloadObservedCtx(jctx, stream, cfg, pre, opts.Recorder)
-		} else {
-			res, e = core.CompressObservedCtx(jctx, stream, cfg, opts.Recorder)
-		}
+		res, e := core.CompressWithPreload(stream, cfg, pre, core.WithTrace(jctx, opts.Recorder))
 		if e != nil {
 			return nil, e
 		}
@@ -169,13 +163,7 @@ func decompressShardedPre(ctx context.Context, s *ShardedResult, pre *core.Prelo
 	shardOpts := opts
 	shardOpts.Policy = FailFast
 	outcomes, err := Map(ctx, s.Shards, shardOpts, func(jctx context.Context, _ int, sh *core.Result) (*bitvec.CubeSet, error) {
-		var stream *bitvec.Vector
-		var e error
-		if pre != nil {
-			stream, e = core.DecompressWithPreloadObservedCtx(jctx, sh.Codes, s.Cfg, pre, sh.InputBits, opts.Recorder)
-		} else {
-			stream, e = core.DecompressObservedCtx(jctx, sh.Codes, s.Cfg, sh.InputBits, opts.Recorder)
-		}
+		stream, e := core.DecompressWithPreload(sh.Codes, s.Cfg, pre, sh.InputBits, core.WithTrace(jctx, opts.Recorder))
 		if e != nil {
 			return nil, e
 		}

@@ -147,7 +147,7 @@ func (s *Server) compressJob(ts *lzwtc.TestSet, cfg lzwtc.Config, shard int, pre
 			if err != nil {
 				return nil, err
 			}
-			if err := lzwtc.WriteWireShardedObserved(ctx, &buf, sr, rec); err != nil {
+			if err := lzwtc.WriteWireSharded(&buf, sr, lzwtc.WithTrace(ctx, rec)); err != nil {
 				return nil, err
 			}
 			s.patternsIn.Add(int64(sr.Patterns))
@@ -162,7 +162,7 @@ func (s *Server) compressJob(ts *lzwtc.TestSet, cfg lzwtc.Config, shard int, pre
 			return nil, results[0].Err
 		}
 		res := results[0].Result
-		if err := res.WriteWireObserved(ctx, &buf, rec); err != nil {
+		if err := res.WriteWire(&buf, lzwtc.WithTrace(ctx, rec)); err != nil {
 			return nil, err
 		}
 		s.patternsIn.Add(int64(res.Patterns))

@@ -606,7 +606,7 @@ func (s *Server) handleCompress(w http.ResponseWriter, r *http.Request) {
 		w.Header().Set(HeaderWidth, strconv.Itoa(sr.Width))
 		w.Header().Set(HeaderRatio, strconv.FormatFloat(sr.Ratio(), 'g', -1, 64))
 		w.Header().Set(HeaderShards, strconv.Itoa(len(sr.Shards)))
-		if err := lzwtc.WriteWireShardedObserved(ctx, w, sr, s.rec); err != nil {
+		if err := lzwtc.WriteWireSharded(w, sr, lzwtc.WithTrace(ctx, s.rec)); err != nil {
 			return // headers already sent; the client sees a truncated (EOS-less) stream
 		}
 		s.patternsIn.Add(int64(sr.Patterns))
@@ -626,7 +626,7 @@ func (s *Server) handleCompress(w http.ResponseWriter, r *http.Request) {
 	w.Header().Set(HeaderPatterns, strconv.Itoa(res.Patterns))
 	w.Header().Set(HeaderWidth, strconv.Itoa(res.Width))
 	w.Header().Set(HeaderRatio, strconv.FormatFloat(res.Ratio(), 'g', -1, 64))
-	if err := res.WriteWireObserved(ctx, w, s.rec); err != nil {
+	if err := res.WriteWire(w, lzwtc.WithTrace(ctx, s.rec)); err != nil {
 		return // mid-stream failure: truncation is detectable by the missing EOS
 	}
 	s.patternsIn.Add(int64(res.Patterns))
@@ -651,7 +651,7 @@ func (s *Server) handleDecompress(w http.ResponseWriter, r *http.Request) {
 		// The dict-aware path degrades to plain DecompressWire for
 		// containers without a 'D' frame, so every container decompresses
 		// through one entry point.
-		ts, err := lzwtc.DecompressWireDictObserved(ctx, body, s.dict, s.rec)
+		ts, err := lzwtc.DecompressWireDict(body, s.dict, lzwtc.WithTrace(ctx, s.rec))
 		done <- result{ts, err}
 	}()
 	select {

@@ -73,7 +73,7 @@ func startService(t *testing.T, cfg server.Config) (*client.Client, *server.Serv
 
 // TestServiceConformanceE2E round-trips every conformance case through
 // a hosted service: the remote container must be byte-identical to an
-// in-process Compress+EncodeWire, and the remote decompression must be
+// in-process Compress+WriteWire, and the remote decompression must be
 // byte-identical to the in-process one.
 func TestServiceConformanceE2E(t *testing.T) {
 	c, _ := startService(t, server.Config{})
@@ -91,10 +91,11 @@ func TestServiceConformanceE2E(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			want, err := res.EncodeWire()
-			if err != nil {
+			var wantBuf bytes.Buffer
+			if err := res.WriteWire(&wantBuf); err != nil {
 				t.Fatal(err)
 			}
+			want := wantBuf.Bytes()
 			if !bytes.Equal(container, want) {
 				t.Fatalf("remote container differs from in-process Compress (%d vs %d bytes)",
 					len(container), len(want))
@@ -425,10 +426,11 @@ func TestServiceGracefulDrain(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		want, err := res.EncodeWire()
-		if err != nil {
+		var wantBuf bytes.Buffer
+		if err := res.WriteWire(&wantBuf); err != nil {
 			t.Fatal(err)
 		}
+		want := wantBuf.Bytes()
 		if !bytes.Equal(container, want) {
 			t.Fatal("container served during drain differs from in-process result")
 		}

@@ -13,7 +13,7 @@
 //	ts.Add(lzwtc.MustPattern("01XX10XX"))
 //	ts.Add(lzwtc.MustPattern("X1XX10X0"))
 //	res, err := lzwtc.Compress(ts, lzwtc.DefaultConfig())
-//	// res.Ratio(), res.Encode(), ...
+//	// res.Ratio(), res.WriteWire(w), ...
 //	back, err := lzwtc.Decompress(res)
 //	err = lzwtc.Verify(ts, back) // every specified bit preserved
 //
@@ -29,6 +29,7 @@ import (
 
 	"lzwtc/internal/bitvec"
 	"lzwtc/internal/core"
+	"lzwtc/internal/telemetry"
 )
 
 // Bit is a three-valued test-data bit: Zero, One or X (don't-care).
@@ -122,15 +123,23 @@ func (r *Result) Stats() Stats { return r.Stream.Stats }
 // bits) to the next character boundary — the hardware decompressor
 // flushes its output shifter at the capture cycle between patterns —
 // and the stream is compressed with dynamic don't-care assignment.
-func Compress(ts *TestSet, cfg Config) (*Result, error) {
+// WithPreload starts from a warm dictionary; WithTrace records the
+// serialization and the core phases.
+func Compress(ts *TestSet, cfg Config, opts ...Option) (*Result, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
 	if len(ts.Cubes) == 0 {
 		return nil, fmt.Errorf("lzwtc: empty test set")
 	}
+	o := options(opts)
+	_, ssp := o.rec.StartSpan(o.ctx, core.SpanSerialize)
 	stream := ts.SerializeAligned(cfg.CharBits)
-	res, err := core.Compress(stream, cfg)
+	// Guarded: boxing the field allocates even when the span is nil.
+	if ssp != nil {
+		ssp.End(telemetry.F("bits", stream.Len()))
+	}
+	res, err := core.CompressWithPreload(stream, cfg, o.pre, o.trace())
 	if err != nil {
 		return nil, err
 	}
@@ -139,9 +148,11 @@ func Compress(ts *TestSet, cfg Config) (*Result, error) {
 
 // Decompress reconstructs the fully specified test set a decompressor
 // would deliver to the scan chain: every original care bit preserved,
-// every don't-care concretized.
-func Decompress(r *Result) (*TestSet, error) {
-	stream, err := core.Decompress(r.Stream.Codes, r.Stream.Cfg, r.Stream.InputBits)
+// every don't-care concretized. A Result compressed WithPreload needs
+// the same WithPreload here.
+func Decompress(r *Result, opts ...Option) (*TestSet, error) {
+	o := options(opts)
+	stream, err := core.DecompressWithPreload(r.Stream.Codes, r.Stream.Cfg, o.pre, r.Stream.InputBits, o.trace())
 	if err != nil {
 		return nil, err
 	}
@@ -168,42 +179,4 @@ func Verify(orig, filled *TestSet) error {
 		}
 	}
 	return nil
-}
-
-// Encode serializes a Result into a self-describing byte container
-// (configuration + original geometry + packed code stream).
-func (r *Result) Encode() []byte {
-	var hdr [8]byte
-	hdr[0] = 'T'
-	hdr[1] = 'S'
-	putUint24(hdr[2:5], uint32(r.Width))
-	putUint24(hdr[5:8], uint32(r.Patterns))
-	return append(hdr[:], r.Stream.Encode()...)
-}
-
-// DecodeResult parses a container produced by Encode.
-func DecodeResult(data []byte) (*Result, error) {
-	if len(data) < 8 || data[0] != 'T' || data[1] != 'S' {
-		return nil, fmt.Errorf("lzwtc: not a test-set container")
-	}
-	width := int(getUint24(data[2:5]))
-	patterns := int(getUint24(data[5:8]))
-	stream, err := core.Decode(data[8:])
-	if err != nil {
-		return nil, err
-	}
-	if width <= 0 || patterns <= 0 {
-		return nil, fmt.Errorf("lzwtc: corrupt geometry %dx%d", patterns, width)
-	}
-	return &Result{Stream: stream, Width: width, OriginalBits: width * patterns, Patterns: patterns}, nil
-}
-
-func putUint24(b []byte, v uint32) {
-	b[0] = byte(v >> 16)
-	b[1] = byte(v >> 8)
-	b[2] = byte(v)
-}
-
-func getUint24(b []byte) uint32 {
-	return uint32(b[0])<<16 | uint32(b[1])<<8 | uint32(b[2])
 }

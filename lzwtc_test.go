@@ -1,6 +1,8 @@
 package lzwtc
 
 import (
+	"bytes"
+	"errors"
 	"math/rand"
 	"strings"
 	"testing"
@@ -88,8 +90,8 @@ func TestContainerRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	enc := res.Encode()
-	dec, err := DecodeResult(enc)
+	enc := wireBytes(t, res)
+	dec, err := ReadWireResult(bytes.NewReader(enc))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -103,11 +105,11 @@ func TestContainerRoundTrip(t *testing.T) {
 	if err := Verify(ts, back); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := DecodeResult(enc[:4]); err == nil {
-		t.Fatal("truncated container accepted")
+	if _, err := ReadWireResult(bytes.NewReader(enc[:4])); !errors.Is(err, ErrWireTruncated) {
+		t.Fatalf("truncated container: got %v, want ErrWireTruncated", err)
 	}
-	if _, err := DecodeResult([]byte("xxxxxxxxxxxx")); err == nil {
-		t.Fatal("bad magic accepted")
+	if _, err := ReadWireResult(bytes.NewReader([]byte("xxxxxxxxxxxx"))); !errors.Is(err, ErrWireBadMagic) {
+		t.Fatalf("bad magic: got %v, want ErrWireBadMagic", err)
 	}
 }
 

@@ -1,6 +1,8 @@
 package lzwtc
 
 import (
+	"bytes"
+	"context"
 	"encoding/json"
 	"strings"
 	"testing"
@@ -26,13 +28,13 @@ func TestRunRecordSchema(t *testing.T) {
 	cfg := Config{CharBits: 2, DictSize: 32, EntryBits: 8}
 	reg := telemetry.NewRegistry()
 	rec := telemetry.New(reg)
-	res, err := CompressObserved(recordTestSet(t), cfg, rec)
+	res, err := Compress(recordTestSet(t), cfg, WithTrace(context.Background(), rec))
 	if err != nil {
 		t.Fatal(err)
 	}
 	record := NewRunRecord(res)
 	record.AttachHistograms(reg.Snapshot())
-	_, st, _, err := SimulateDownloadObserved(res, 8, rec)
+	_, st, _, err := SimulateDownload(res, 8, WithTrace(context.Background(), rec))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -81,7 +83,7 @@ func TestRunRecordFromContainer(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	decoded, err := DecodeResult(res.Encode())
+	decoded, err := ReadWireResult(bytes.NewReader(wireBytes(t, res)))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -100,12 +102,12 @@ func TestRunRecordFromContainer(t *testing.T) {
 	}
 }
 
-// TestCompressObservedRootEmitsRunRecord checks the root wrapper
-// threads the recorder down to core.
+// TestCompressObservedRootEmitsRunRecord checks root Compress threads
+// the WithTrace recorder down to core.
 func TestCompressObservedRootEmitsRunRecord(t *testing.T) {
 	var kinds []string
 	rec := telemetry.New(nil, telemetry.SinkFunc(func(ev telemetry.Event) { kinds = append(kinds, ev.Kind) }))
-	if _, err := CompressObserved(recordTestSet(t), DefaultConfig(), rec); err != nil {
+	if _, err := Compress(recordTestSet(t), DefaultConfig(), WithTrace(context.Background(), rec)); err != nil {
 		t.Fatal(err)
 	}
 	found := false
@@ -134,7 +136,7 @@ func TestSimulateDownloadObservedPatternEvents(t *testing.T) {
 			patterns++
 		}
 	}))
-	if _, _, _, err := SimulateDownloadObserved(res, 8, rec); err != nil {
+	if _, _, _, err := SimulateDownload(res, 8, WithTrace(context.Background(), rec)); err != nil {
 		t.Fatal(err)
 	}
 	if patterns != len(ts.Cubes) {

@@ -1,6 +1,6 @@
 #!/bin/sh
 # Trace-overhead gate: the disabled-tracing compression path
-# (CompressObservedCtx with a span context in ctx and a nil recorder)
+# (Compress with WithTrace(ctx, nil), ctx carrying a span context)
 # must stay within TOLERANCE_PCT of the disabled-telemetry baseline
 # (BenchmarkCompressTelemetryDisabled, the PR 6 acceptance benchmark),
 # and must allocate exactly as much per op. Both benchmarks run

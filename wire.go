@@ -1,7 +1,6 @@
 package lzwtc
 
 import (
-	"bytes"
 	"context"
 	"fmt"
 	"io"
@@ -21,76 +20,52 @@ var (
 	ErrWireTruncated = wire.ErrTruncated
 )
 
-// IsWireContainer reports whether data begins with the wire-format
-// magic — the dispatch test file and service handlers use to tell the
-// framed format from the legacy Encode container.
-func IsWireContainer(data []byte) bool {
-	return len(data) >= len(wire.Magic) && bytes.Equal(data[:len(wire.Magic)], wire.Magic[:])
-}
-
-// WriteWire streams a Result to w in the versioned wire format: a
-// CRC-protected header carrying the full Config and pattern width, one
-// data frame with the code stream, and an explicit EOS frame. Unlike
-// Encode, the output is tamper-evident (per-region CRC32C) and
-// truncation-evident (missing EOS).
-func (r *Result) WriteWire(w io.Writer) error {
-	ww, err := wire.NewWriter(w, wire.Header{Cfg: r.Stream.Cfg, Width: r.Width})
-	if err != nil {
-		return err
-	}
-	if err := ww.WriteResult(r.Stream, r.Patterns); err != nil {
-		return err
-	}
-	return ww.Close()
-}
-
-// Trace span names for wire-container framing, recorded by the
-// *Observed wire entry points.
+// Trace span names for wire-container framing, recorded by the wire
+// writers and readers under WithTrace.
 const (
 	SpanWireEncode = "wire.encode" // frame + CRC a container
 	SpanWireDecode = "wire.decode" // parse + verify + decompress a container
 )
 
-// WriteWireObserved is WriteWire wrapped in a SpanWireEncode trace
-// span: when ctx carries a span and rec has sinks, the container
-// framing (header, CRC, frame writes) is attributed in the request
-// trace. A nil recorder reduces to WriteWire.
-func (r *Result) WriteWireObserved(ctx context.Context, w io.Writer, rec *Recorder) error {
-	_, sp := rec.StartSpan(ctx, SpanWireEncode)
-	err := r.WriteWire(w)
-	sp.End(telemetry.F("frames", 1), telemetry.F("ok", err == nil))
-	return err
-}
-
-// WriteWireShardedObserved is WriteWireSharded wrapped in a
-// SpanWireEncode trace span carrying the frame count.
-func WriteWireShardedObserved(ctx context.Context, w io.Writer, s *ShardedResult, rec *Recorder) error {
-	_, sp := rec.StartSpan(ctx, SpanWireEncode)
-	err := WriteWireSharded(w, s)
-	sp.End(telemetry.F("frames", len(s.Shards)), telemetry.F("ok", err == nil))
-	return err
-}
-
-// EncodeWire renders the Result as one in-memory wire container.
-func (r *Result) EncodeWire() ([]byte, error) {
-	var buf bytes.Buffer
-	if err := r.WriteWire(&buf); err != nil {
-		return nil, err
-	}
-	return buf.Bytes(), nil
+// WriteWire streams a Result to w in the versioned wire format: a
+// CRC-protected header carrying the full Config and pattern width, one
+// data frame with the code stream, and an explicit EOS frame. The
+// output is tamper-evident (per-region CRC32C) and truncation-evident
+// (missing EOS). WithTrace wraps the framing in a SpanWireEncode span.
+func (r *Result) WriteWire(w io.Writer, opts ...Option) error {
+	return writeContainer(w, r.Stream.Cfg, r.Width, nil, []*core.Result{r.Stream}, []int{r.Patterns}, options(opts))
 }
 
 // WriteWireSharded streams a sharded compression as one container with
 // a frame per shard. Each frame is independently decompressible (a
 // frame boundary is a FullReset), so a streaming reader can decompress
-// shard by shard in constant memory.
-func WriteWireSharded(w io.Writer, s *ShardedResult) error {
-	ww, err := wire.NewWriter(w, wire.Header{Cfg: s.Cfg, Width: s.Width})
+// shard by shard in constant memory. WithTrace wraps the framing in a
+// SpanWireEncode span carrying the frame count.
+func WriteWireSharded(w io.Writer, s *ShardedResult, opts ...Option) error {
+	return writeContainer(w, s.Cfg, s.Width, nil, s.Shards, s.ShardPatterns, options(opts))
+}
+
+// writeContainer frames one container — header, the 'D' frame when ref
+// is set, one data frame per stream, EOS — under a SpanWireEncode span.
+func writeContainer(w io.Writer, cfg Config, width int, ref *DictRef, streams []*core.Result, patterns []int, o Option) error {
+	_, sp := o.rec.StartSpan(o.ctx, SpanWireEncode)
+	err := frameContainer(w, wire.Header{Cfg: cfg, Width: width}, ref, streams, patterns)
+	sp.End(telemetry.F("frames", len(streams)), telemetry.F("ok", err == nil))
+	return err
+}
+
+func frameContainer(w io.Writer, hdr wire.Header, ref *DictRef, streams []*core.Result, patterns []int) error {
+	ww, err := wire.NewWriter(w, hdr)
 	if err != nil {
 		return err
 	}
-	for i, sh := range s.Shards {
-		if err := ww.WriteResult(sh, s.ShardPatterns[i]); err != nil {
+	if ref != nil {
+		if err := ww.WriteDictRef(*ref); err != nil {
+			return err
+		}
+	}
+	for i, st := range streams {
+		if err := ww.WriteResult(st, patterns[i]); err != nil {
 			return err
 		}
 	}
@@ -132,38 +107,29 @@ func ReadWireResult(r io.Reader) (*Result, error) {
 	}, nil
 }
 
-// DecodeWireResult is ReadWireResult over an in-memory container.
-func DecodeWireResult(data []byte) (*Result, error) {
-	return ReadWireResult(bytes.NewReader(data))
-}
-
 // DecompressWire streams any wire container — single-frame or sharded —
 // into the fully specified test set, decompressing frame by frame. The
 // whole container is verified: a corrupt or truncated stream returns a
-// typed error before (or instead of) partial output.
-func DecompressWire(r io.Reader) (*TestSet, error) {
-	return DecompressWireObserved(context.Background(), r, nil)
+// typed error before (or instead of) partial output, and a container
+// naming a dictionary fails with ErrDictNotFound (use
+// DecompressWireDict). WithTrace runs the parse under a SpanWireDecode
+// span with a nested core.decode span per frame.
+func DecompressWire(r io.Reader, opts ...Option) (*TestSet, error) {
+	return DecompressWireDict(r, nil, opts...)
 }
 
-// DecompressWireObserved is DecompressWire instrumented for request
-// tracing: the whole container parse runs under a SpanWireDecode span
-// and each frame's software decompression is a nested core.decode
-// span, so sharded downloads show per-frame cost. A nil recorder
-// reduces to DecompressWire.
-func DecompressWireObserved(ctx context.Context, r io.Reader, rec *Recorder) (*TestSet, error) {
-	wctx, sp := rec.StartSpan(ctx, SpanWireDecode)
-	out, frames, err := decompressWire(wctx, r, rec)
-	sp.End(telemetry.F("frames", frames), telemetry.F("ok", err == nil))
-	return out, err
-}
-
-func decompressWire(ctx context.Context, r io.Reader, rec *Recorder) (*TestSet, int, error) {
+// decompressWire is the one container decode body behind DecompressWire
+// and DecompressWireDict: a 'D' frame is resolved through res (nil →
+// ErrDictNotFound) and every data frame decompresses with the resolved
+// preload installed.
+func decompressWire(ctx context.Context, r io.Reader, res DictResolver, rec *Recorder) (*TestSet, int, error) {
 	wr, err := wire.NewReader(r)
 	if err != nil {
 		return nil, 0, err
 	}
 	hdr := wr.Header()
 	out := NewTestSet(hdr.Width)
+	var pre *Preload
 	for {
 		f, err := wr.ReadFrame()
 		if err == io.EOF {
@@ -172,7 +138,18 @@ func decompressWire(ctx context.Context, r io.Reader, rec *Recorder) (*TestSet, 
 		if err != nil {
 			return nil, wr.Frames(), err
 		}
-		stream, err := core.DecompressObservedCtx(ctx, f.Codes, hdr.Cfg, f.InputBits, rec)
+		// The 'D' frame precedes all data frames, so the reference is
+		// final by the time the first data frame arrives.
+		if ref, ok := wr.DictRef(); ok && pre == nil {
+			if res == nil {
+				return nil, wr.Frames(), fmt.Errorf("lzwtc: container references dictionary %x but no resolver given: %w",
+					ref.Key, ErrDictNotFound)
+			}
+			if pre, err = res.ResolveDict(ctx, ref); err != nil {
+				return nil, wr.Frames(), fmt.Errorf("lzwtc: resolving container dictionary: %w", err)
+			}
+		}
+		stream, err := core.DecompressWithPreload(f.Codes, hdr.Cfg, pre, f.InputBits, core.WithTrace(ctx, rec))
 		if err != nil {
 			return nil, wr.Frames(), fmt.Errorf("lzwtc: wire frame %d: %w", wr.Frames()-1, err)
 		}

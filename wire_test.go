@@ -9,7 +9,7 @@ import (
 )
 
 // TestWireRoundTripConformance runs every conformance case through the
-// wire format with no out-of-band Config: DecodeWireResult(EncodeWire(r))
+// wire format with no out-of-band Config: ReadWireResult(WriteWire(r))
 // must reproduce the Result exactly — config, geometry and every code —
 // and decompressing the decoded container must match decompressing the
 // original.
@@ -22,14 +22,8 @@ func TestWireRoundTripConformance(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			data, err := res.EncodeWire()
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !IsWireContainer(data) {
-				t.Fatal("EncodeWire output not recognized as a wire container")
-			}
-			back, err := DecodeWireResult(data)
+			data := wireBytes(t, res)
+			back, err := ReadWireResult(bytes.NewReader(data))
 			if err != nil {
 				t.Fatalf("decode: %v", err)
 			}
@@ -114,27 +108,34 @@ func TestWireTypedErrorsAtRoot(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	data, err := res.EncodeWire()
-	if err != nil {
-		t.Fatal(err)
-	}
+	data := wireBytes(t, res)
 
-	if _, err := DecodeWireResult([]byte("XXXX")); !errors.Is(err, ErrWireBadMagic) {
+	if _, err := ReadWireResult(bytes.NewReader([]byte("XXXX"))); !errors.Is(err, ErrWireBadMagic) {
 		t.Fatalf("magic: %v", err)
 	}
 	ver := bytes.Clone(data)
 	ver[4] = 0x7f
-	if _, err := DecodeWireResult(ver); !errors.Is(err, ErrWireVersion) {
+	if _, err := ReadWireResult(bytes.NewReader(ver)); !errors.Is(err, ErrWireVersion) {
 		t.Fatalf("version: %v", err)
 	}
-	if _, err := DecodeWireResult(data[:len(data)-1]); !errors.Is(err, ErrWireTruncated) {
+	if _, err := ReadWireResult(bytes.NewReader(data[:len(data)-1])); !errors.Is(err, ErrWireTruncated) {
 		t.Fatalf("truncated: %v", err)
 	}
 	flip := bytes.Clone(data)
 	flip[len(flip)-10] ^= 0x10
-	if _, err := DecodeWireResult(flip); !errors.Is(err, ErrWireChecksum) && !errors.Is(err, ErrWireTruncated) {
+	if _, err := ReadWireResult(bytes.NewReader(flip)); !errors.Is(err, ErrWireChecksum) && !errors.Is(err, ErrWireTruncated) {
 		t.Fatalf("corrupt: %v", err)
 	}
+}
+
+// wireBytes renders res as one in-memory wire container.
+func wireBytes(t *testing.T, res *Result) []byte {
+	t.Helper()
+	var buf bytes.Buffer
+	if err := res.WriteWire(&buf); err != nil {
+		t.Fatal(err)
+	}
+	return buf.Bytes()
 }
 
 func assertSetsEqual(t *testing.T, want, got *TestSet) {
