@@ -1,10 +1,10 @@
 package lzwtc
 
 import (
-	"bytes"
 	"context"
 	"fmt"
 	"io"
+	"strconv"
 
 	"lzwtc/internal/core"
 	"lzwtc/internal/dictstore"
@@ -71,13 +71,12 @@ func Train(ts *TestSet, cfg Config, maxEntries int) (*Preload, error) {
 // same patterns under the same config always map to the same key, no
 // matter how they were parsed or transported.
 func DictKeyFor(ts *TestSet, cfg Config) DictKey {
-	var b bytes.Buffer
-	fmt.Fprintf(&b, "%d\n", ts.Width)
+	b := make([]byte, 0, 21+len(ts.Cubes)*(ts.Width+1))
+	b = append(strconv.AppendInt(b, int64(ts.Width), 10), '\n')
 	for _, c := range ts.Cubes {
-		b.WriteString(c.String())
-		b.WriteByte('\n')
+		b = append(c.AppendText(b), '\n')
 	}
-	return dictstore.KeyFor(b.Bytes(), cfg)
+	return dictstore.KeyFor(b, cfg)
 }
 
 // EncodeDictBlob renders a trained dictionary as a portable LZWD blob

@@ -14,11 +14,8 @@
 package bitvec
 
 import (
-	"bufio"
 	"fmt"
-	"io"
 	"math/bits"
-	"strings"
 
 	"lzwtc/internal/invariant"
 )
@@ -70,7 +67,8 @@ type Vector struct {
 func New(n int) *Vector {
 	invariant.Check(n >= 0, "bitvec: negative length %d", n)
 	w := (n + 63) / 64
-	return &Vector{n: n, val: make([]uint64, w), care: make([]uint64, w)}
+	planes := make([]uint64, 2*w) // one allocation backs both planes
+	return &Vector{n: n, val: planes[:w:w], care: planes[w:]}
 }
 
 // Len returns the number of bits in v.
@@ -300,41 +298,6 @@ func (v *Vector) Filled(p FillPolicy) *Vector {
 	return c
 }
 
-// Parse builds a vector from a string of '0', '1', 'X'/'x'/'-'.
-func Parse(s string) (*Vector, error) {
-	v := New(len(s))
-	for i := 0; i < len(s); i++ {
-		switch s[i] {
-		case '0':
-			v.Set(i, Zero)
-		case '1':
-			v.Set(i, One)
-		case 'X', 'x', '-':
-			// already X
-		default:
-			return nil, fmt.Errorf("bitvec: invalid character %q at position %d", s[i], i)
-		}
-	}
-	return v, nil
-}
-
-// MustParse is Parse that panics on error, for tests and literals.
-func MustParse(s string) *Vector {
-	v, err := Parse(s)
-	invariant.Must(err)
-	return v
-}
-
-// String renders the vector as '0'/'1'/'X' characters.
-func (v *Vector) String() string {
-	var sb strings.Builder
-	sb.Grow(v.n)
-	for i := 0; i < v.n; i++ {
-		sb.WriteString(v.Get(i).String())
-	}
-	return sb.String()
-}
-
 // Concat returns the concatenation of vs as a single vector.
 func Concat(vs ...*Vector) *Vector {
 	total := 0
@@ -344,14 +307,35 @@ func Concat(vs ...*Vector) *Vector {
 	out := New(total)
 	pos := 0
 	for _, v := range vs {
-		for i := 0; i < v.n; i++ {
-			if b := v.Get(i); b != X {
-				out.Set(pos+i, b)
-			}
-		}
+		orRange(out, pos, v, 0, v.n)
 		pos += v.n
 	}
 	return out
+}
+
+// orRange ORs the n bits of src starting at spos into dst starting at
+// dpos, 64 bits per step: one Chunk read and at most two word updates
+// per plane. The destination range must be all-X (both planes clear,
+// as in a fresh vector); src value bits are already 0 wherever care is
+// 0, so an X source bit stays X and the result is exactly a per-bit
+// copy. Every serialize and deserialize path goes through here.
+func orRange(dst *Vector, dpos int, src *Vector, spos, n int) {
+	if dpos < 0 || spos < 0 || n < 0 || dpos+n > dst.n || spos+n > src.n {
+		invariant.Violatef("bitvec: copy of %d bits from %d (len %d) to %d (len %d) out of range",
+			n, spos, src.n, dpos, dst.n)
+	}
+	for n > 0 {
+		k := min(n, 64)
+		val, care := src.Chunk(spos, k)
+		w, off := dpos/64, uint(dpos%64)
+		dst.val[w] |= val << off
+		dst.care[w] |= care << off
+		if off != 0 && off+uint(k) > 64 {
+			dst.val[w+1] |= val >> (64 - off)
+			dst.care[w+1] |= care >> (64 - off)
+		}
+		dpos, spos, n = dpos+k, spos+k, n-k
+	}
 }
 
 // CubeSet is an ordered collection of equal-width test cubes — the test
@@ -410,12 +394,7 @@ func (cs *CubeSet) SerializeAligned(charBits int) *Vector {
 	w := (cs.Width + charBits - 1) / charBits * charBits
 	out := New(w * len(cs.Cubes))
 	for p, c := range cs.Cubes {
-		base := p * w
-		for i := 0; i < c.Len(); i++ {
-			if b := c.Get(i); b != X {
-				out.Set(base+i, b)
-			}
-		}
+		orRange(out, p*w, c, 0, c.n)
 	}
 	return out
 }
@@ -434,17 +413,7 @@ func DeserializeAligned(stream *Vector, width, charBits int) (*CubeSet, error) {
 	if stream.Len()%w != 0 {
 		return nil, fmt.Errorf("bitvec: stream length %d not a multiple of padded width %d", stream.Len(), w)
 	}
-	cs := NewCubeSet(width)
-	for pos := 0; pos < stream.Len(); pos += w {
-		c := New(width)
-		for i := 0; i < width; i++ {
-			if b := stream.Get(pos + i); b != X {
-				c.Set(i, b)
-			}
-		}
-		cs.Cubes = append(cs.Cubes, c)
-	}
-	return cs, nil
+	return split(stream, width, w), nil
 }
 
 // Deserialize splits a stream back into cubes of the set's width.
@@ -456,65 +425,20 @@ func Deserialize(stream *Vector, width int) (*CubeSet, error) {
 	if stream.Len()%width != 0 {
 		return nil, fmt.Errorf("bitvec: stream length %d not a multiple of width %d", stream.Len(), width)
 	}
+	return split(stream, width, width), nil
+}
+
+// split cuts stream into cubes of width bits, one every stride bits
+// (stride >= width; the bits in between are dropped).
+func split(stream *Vector, width, stride int) *CubeSet {
 	cs := NewCubeSet(width)
-	for pos := 0; pos < stream.Len(); pos += width {
+	cs.Cubes = make([]*Vector, 0, stream.Len()/stride)
+	for pos := 0; pos < stream.Len(); pos += stride {
 		c := New(width)
-		for i := 0; i < width; i++ {
-			if b := stream.Get(pos + i); b != X {
-				c.Set(i, b)
-			}
-		}
+		orRange(c, 0, stream, pos, width)
 		cs.Cubes = append(cs.Cubes, c)
 	}
-	return cs, nil
-}
-
-// ReadCubes parses a text cube file: one cube per line of '0'/'1'/'X',
-// blank lines and lines starting with '#' ignored. All cubes must have
-// equal width.
-func ReadCubes(r io.Reader) (*CubeSet, error) {
-	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 1<<20), 1<<24)
-	var cs *CubeSet
-	line := 0
-	for sc.Scan() {
-		line++
-		s := strings.TrimSpace(sc.Text())
-		if s == "" || strings.HasPrefix(s, "#") {
-			continue
-		}
-		v, err := Parse(s)
-		if err != nil {
-			return nil, fmt.Errorf("line %d: %w", line, err)
-		}
-		if cs == nil {
-			cs = NewCubeSet(v.Len())
-		}
-		if err := cs.Add(v); err != nil {
-			return nil, fmt.Errorf("line %d: %w", line, err)
-		}
-	}
-	if err := sc.Err(); err != nil {
-		return nil, err
-	}
-	if cs == nil {
-		return nil, fmt.Errorf("bitvec: no cubes in input")
-	}
-	return cs, nil
-}
-
-// WriteCubes writes the set in the text format ReadCubes parses.
-func (cs *CubeSet) WriteCubes(w io.Writer) error {
-	bw := bufio.NewWriter(w)
-	for _, c := range cs.Cubes {
-		if _, err := bw.WriteString(c.String()); err != nil {
-			return err
-		}
-		if err := bw.WriteByte('\n'); err != nil {
-			return err
-		}
-	}
-	return bw.Flush()
+	return cs
 }
 
 func popcount(x uint64) int { return bits.OnesCount64(x) }

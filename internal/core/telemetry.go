@@ -73,10 +73,11 @@ const (
 // per request: how long dictionary construction took versus the match
 // loop itself.
 const (
-	SpanSerialize = "core.serialize"  // cube-set serialization into the stream
-	SpanDictBuild = "core.dict_build" // dictionary acquisition/preload
-	SpanMatchLoop = "core.match_loop" // the Figure 3 compression loop
-	SpanDecode    = "core.decode"     // one frame's software decompression
+	SpanSerialize   = "core.serialize"   // cube-set serialization into the stream
+	SpanDictBuild   = "core.dict_build"  // dictionary acquisition/preload
+	SpanMatchLoop   = "core.match_loop"  // the Figure 3 compression loop
+	SpanDecode      = "core.decode"      // one frame's software decompression
+	SpanDeserialize = "core.deserialize" // decoded stream split back into cubes
 )
 
 // Dictionary arena metrics: how often a run reused a pooled dictionary

@@ -570,3 +570,70 @@ func TestCloseCancelsOutstanding(t *testing.T) {
 	}
 	m.Close() // idempotent
 }
+
+// TestTerminalJobsDropRunClosure pins that a retained job no longer
+// references its run closure — the closure captures the job's input, so
+// keeping it would pin every parsed test set for the whole ResultTTL.
+// It covers done, failed, panicked, canceled-while-running and
+// canceled-while-queued jobs, and reads j.run under the manager lock so
+// it is race-clean.
+func TestTerminalJobsDropRunClosure(t *testing.T) {
+	m, _ := newTestManager(t, Config{Concurrent: 1, QueueDepth: 8, ResultTTL: time.Hour})
+	runNil := func(id string) bool {
+		m.mu.Lock()
+		defer m.mu.Unlock()
+		j, ok := m.jobs[id]
+		if !ok {
+			t.Fatalf("job %s not retained", id)
+		}
+		return j.run == nil
+	}
+
+	var ids []string
+	for _, run := range []RunFunc{
+		quickJob(&Payload{Data: []byte("ok")}, nil),
+		quickJob(nil, errors.New("boom")),
+		func(context.Context, *Progress) (*Payload, error) { panic("kaboom") },
+	} {
+		st, err := m.Submit(context.Background(), "t", run)
+		if err != nil {
+			t.Fatal(err)
+		}
+		waitTerminal(t, m, st.ID)
+		ids = append(ids, st.ID)
+	}
+
+	release := make(chan struct{})
+	blocker, started := blockingJob(release)
+	running, err := m.Submit(context.Background(), "t", blocker)
+	if err != nil {
+		t.Fatal(err)
+	}
+	<-started
+	queued, err := m.Submit(context.Background(), "t", quickJob(&Payload{}, nil))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st, err := m.Cancel(queued.ID); err != nil || st.State != StateCanceled {
+		t.Fatalf("cancel queued: %v %v", err, st.State)
+	}
+	if !runNil(queued.ID) {
+		t.Errorf("job canceled while queued still holds its run closure")
+	}
+	if runNil(running.ID) {
+		t.Fatalf("running job lost its run closure before finishing")
+	}
+	if _, err := m.Cancel(running.ID); err != nil {
+		t.Fatal(err)
+	}
+	waitTerminal(t, m, running.ID)
+	close(release)
+	ids = append(ids, running.ID, queued.ID)
+
+	for _, id := range ids {
+		st, _ := m.Get(id)
+		if !runNil(id) {
+			t.Errorf("job %s (%s) still holds its run closure", id, st.State)
+		}
+	}
+}

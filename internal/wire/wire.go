@@ -192,19 +192,20 @@ func encodeEOS(frames, patterns int) []byte {
 }
 
 // packCodes packs fixed-width cb-bit codes MSB-first — the same bit
-// order core.Result.Pack emits for the ATE channel.
+// order core.Result.Pack emits for the ATE channel. Only the low cb
+// bits of each code are packed; a width above 32 (wider than
+// core.Code) packs as leading zeros.
 func packCodes(codes []core.Code, cb int) []byte {
-	out := make([]byte, (len(codes)*cb+7)/8)
-	bitPos := 0
+	w := codeWriter{out: make([]byte, (len(codes)*cb+7)/8)}
+	hi, lo := splitWidth(cb)
 	for _, c := range codes {
-		for i := cb - 1; i >= 0; i-- {
-			if c>>uint(i)&1 != 0 {
-				out[bitPos>>3] |= 1 << uint(7-bitPos&7)
-			}
-			bitPos++
+		if hi > 0 {
+			w.put(hi, 0)
 		}
+		w.put(lo, uint64(c))
 	}
-	return out
+	w.flush()
+	return w.out
 }
 
 // unpackCodes inverts packCodes; data must hold at least n cb-bit codes
@@ -225,19 +226,85 @@ func unpackCodes(data []byte, n, cb int) ([]core.Code, error) {
 			ErrTruncated, n, cb, (n*cb+7)/8, len(data))
 	}
 	codes := make([]core.Code, n)
-	bitPos := 0
+	r := codeReader{data: data}
+	hi, lo := splitWidth(cb)
 	for i := range codes {
-		var v core.Code
-		for j := 0; j < cb; j++ {
-			v <<= 1
-			if data[bitPos>>3]>>uint(7-bitPos&7)&1 != 0 {
-				v |= 1
-			}
-			bitPos++
+		if hi > 0 {
+			r.get(hi) // above core.Code's 32 bits
 		}
-		codes[i] = v
+		codes[i] = core.Code(r.get(lo))
 	}
 	return codes, nil
+}
+
+// splitWidth splits a code width into the bits above core.Code's 32
+// (hi) and the low bits that carry the code (lo, at most 32), so the
+// 64-bit accumulators below never hold more than 63 pending bits.
+func splitWidth(cb int) (hi, lo int) {
+	return max(cb-32, 0), min(cb, 32)
+}
+
+// codeWriter packs bit fields MSB-first through a 64-bit accumulator,
+// storing 32 bits at a time.
+type codeWriter struct {
+	out     []byte
+	acc     uint64 // pending bits, right-aligned
+	pending int    // < 32 between calls
+	o       int    // next output byte
+}
+
+// put appends the low k bits of v, k in [1, 32].
+func (w *codeWriter) put(k int, v uint64) {
+	w.acc = w.acc<<uint(k) | v&(1<<uint(k)-1)
+	w.pending += k
+	if w.pending >= 32 {
+		w.pending -= 32
+		binary.BigEndian.PutUint32(w.out[w.o:], uint32(w.acc>>uint(w.pending)))
+		w.o += 4
+	}
+}
+
+// flush stores the last pending bits, zero-padded to a byte boundary.
+func (w *codeWriter) flush() {
+	for ; w.pending > 0; w.pending -= 8 {
+		w.out[w.o] = byte(w.acc << 8 >> uint(w.pending))
+		w.o++
+	}
+}
+
+// codeReader unpacks bit fields MSB-first through a 64-bit accumulator,
+// loading 32 bits at a time while a whole word remains and a byte at a
+// time at the tail. Callers bound the total bits read by len(data)*8.
+type codeReader struct {
+	data  []byte
+	acc   uint64 // unread bits are the low avail bits
+	avail int
+	p     int // next input byte
+}
+
+// get returns the next k bits, k in [1, 32].
+func (r *codeReader) get(k int) uint64 {
+	if r.avail < k {
+		r.fill()
+	}
+	r.avail -= k
+	return r.acc >> uint(r.avail) & (1<<uint(k) - 1)
+}
+
+// fill loads the next 32 bits, or every remaining byte when fewer
+// than four are left. Called with avail < 32, so nothing unread is
+// shifted out.
+func (r *codeReader) fill() {
+	if r.p+4 <= len(r.data) {
+		r.acc = r.acc<<32 | uint64(binary.BigEndian.Uint32(r.data[r.p:]))
+		r.p += 4
+		r.avail += 32
+		return
+	}
+	for ; r.p < len(r.data); r.p++ {
+		r.acc = r.acc<<8 | uint64(r.data[r.p])
+		r.avail += 8
+	}
 }
 
 // Writer streams a container to an io.Writer: header up front, one

@@ -24,6 +24,7 @@
 package lzwtc
 
 import (
+	"context"
 	"fmt"
 	"io"
 
@@ -156,7 +157,19 @@ func Decompress(r *Result, opts ...Option) (*TestSet, error) {
 	if err != nil {
 		return nil, err
 	}
-	return bitvec.DeserializeAligned(stream, r.Width, r.Stream.Cfg.CharBits)
+	return deserialize(o.ctx, o.rec, stream, r.Width, r.Stream.Cfg.CharBits)
+}
+
+// deserialize is bitvec.DeserializeAligned under a core.deserialize
+// span, the mirror of Compress's core.serialize span.
+func deserialize(ctx context.Context, rec *Recorder, stream *Pattern, width, charBits int) (*TestSet, error) {
+	_, sp := rec.StartSpan(ctx, core.SpanDeserialize)
+	ts, err := bitvec.DeserializeAligned(stream, width, charBits)
+	// Guarded: boxing the field allocates even when the span is nil.
+	if sp != nil {
+		sp.End(telemetry.F("bits", stream.Len()))
+	}
+	return ts, err
 }
 
 // DecompressedSetFromStream splits a concrete scan stream — e.g. the

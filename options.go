@@ -25,7 +25,7 @@ type Option struct {
 // WithTrace instruments a call through rec: per-code histograms into
 // its registry, run records to its sinks, and — when ctx carries a
 // trace span — the call's phases (serialize, dictionary build, match
-// loop, wire framing, decode) as child spans, so a request trace
+// loop, wire framing, decode, deserialize) as child spans, so a request trace
 // attributes the whole pipeline. A nil recorder is the uninstrumented
 // path.
 func WithTrace(ctx context.Context, rec *Recorder) Option {

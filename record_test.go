@@ -7,6 +7,7 @@ import (
 	"strings"
 	"testing"
 
+	"lzwtc/internal/core"
 	"lzwtc/internal/telemetry"
 )
 
@@ -141,5 +142,54 @@ func TestSimulateDownloadObservedPatternEvents(t *testing.T) {
 	}
 	if patterns != len(ts.Cubes) {
 		t.Fatalf("pattern events = %d, want %d", patterns, len(ts.Cubes))
+	}
+}
+
+// TestDecompressDeserializeSpan checks both decode entry points record
+// the cube split as a core.deserialize span beside core.decode, with
+// the stream length it split.
+func TestDecompressDeserializeSpan(t *testing.T) {
+	ts := recordTestSet(t)
+	cfg := Config{CharBits: 3, DictSize: 32, EntryBits: 9} // width 8 pads to 9
+	res, err := Compress(ts, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var container bytes.Buffer
+	if err := res.WriteWire(&container); err != nil {
+		t.Fatal(err)
+	}
+	for name, decode := range map[string]func(Option) (*TestSet, error){
+		"Decompress":     func(o Option) (*TestSet, error) { return Decompress(res, o) },
+		"DecompressWire": func(o Option) (*TestSet, error) { return DecompressWire(bytes.NewReader(container.Bytes()), o) },
+	} {
+		var spans []telemetry.SpanRecord
+		rec := telemetry.New(nil, telemetry.SinkFunc(func(ev telemetry.Event) {
+			if sr, ok := telemetry.SpanRecordFromEvent(ev); ok {
+				spans = append(spans, sr)
+			}
+		}))
+		got, err := decode(WithTrace(context.Background(), rec))
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if err := Verify(ts, got); err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		var deser, decodes int
+		for _, sp := range spans {
+			switch sp.Name {
+			case core.SpanDeserialize:
+				deser++
+				if want := "36"; sp.Attrs["bits"] != want { // 4 patterns x 9 bits
+					t.Fatalf("%s: deserialize span bits = %q, want %s", name, sp.Attrs["bits"], want)
+				}
+			case core.SpanDecode:
+				decodes++
+			}
+		}
+		if deser != 1 || decodes != 1 {
+			t.Fatalf("%s: %d deserialize and %d decode spans, want 1 each", name, deser, decodes)
+		}
 	}
 }

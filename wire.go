@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"io"
 
-	"lzwtc/internal/bitvec"
 	"lzwtc/internal/core"
 	"lzwtc/internal/telemetry"
 	"lzwtc/internal/wire"
@@ -153,7 +152,7 @@ func decompressWire(ctx context.Context, r io.Reader, res DictResolver, rec *Rec
 		if err != nil {
 			return nil, wr.Frames(), fmt.Errorf("lzwtc: wire frame %d: %w", wr.Frames()-1, err)
 		}
-		group, err := bitvec.DeserializeAligned(stream, hdr.Width, hdr.Cfg.CharBits)
+		group, err := deserialize(ctx, rec, stream, hdr.Width, hdr.Cfg.CharBits)
 		if err != nil {
 			return nil, wr.Frames(), fmt.Errorf("lzwtc: wire frame %d: %w", wr.Frames()-1, err)
 		}
