@@ -63,7 +63,7 @@ func main() {
 		names = strings.Split(*run, ",")
 	}
 	for i, name := range names {
-		t, err := experiments.RunObservedCtx(ctx, strings.TrimSpace(name), *workers, rec)
+		t, err := experiments.Run(ctx, strings.TrimSpace(name), *workers, rec)
 		if err != nil {
 			if errors.Is(err, context.Canceled) {
 				fmt.Fprintln(os.Stderr, "experiments: interrupted")

@@ -117,13 +117,14 @@ func (l lazyDictResolver) ResolveDict(ctx context.Context, ref lzwtc.DictRef) (*
 	return store.ResolveDict(ctx, ref)
 }
 
-// patternCount is a nil-safe pattern count for telemetry fields.
-func patternCount(ts *lzwtc.TestSet) int {
-	if ts == nil {
-		return 0
-	}
-	return len(ts.Cubes)
-}
+// Trace span names for the compress and decompress subcommands. Each
+// run is one trace rooted at its span, with the core and wire phases
+// beneath, so a -telemetry jsonl capture renders as one tree through
+// `lzwtc trace`. The names stay apart from the compress.run event kind.
+const (
+	SpanCLICompress   = "cli.compress"
+	SpanCLIDecompress = "cli.decompress"
+)
 
 func configFlags(fs *flag.FlagSet) *lzwtc.Config {
 	cfg := lzwtc.DefaultConfig()
@@ -148,6 +149,8 @@ func compress(args []string) error {
 	if err != nil {
 		return err
 	}
+	rctx, sp := rec.StartSpan(context.Background(), SpanCLICompress)
+	defer sp.End()
 
 	r, err := openIn(*in)
 	if err != nil {
@@ -174,14 +177,14 @@ func compress(args []string) error {
 			return err
 		}
 		defer store.Close()
-		ent, err := store.Resolve(context.Background(), key)
+		ent, err := store.Resolve(rctx, key)
 		if err != nil {
 			return err
 		}
 		pre, ref = ent.Pre, lzwtc.DictEntryRef(ent)
 	}
 
-	res, err := lzwtc.Compress(ts, *cfg, lzwtc.WithTrace(context.Background(), rec), lzwtc.WithPreload(pre))
+	res, err := lzwtc.Compress(ts, *cfg, lzwtc.WithTrace(rctx, rec), lzwtc.WithPreload(pre))
 	if err != nil {
 		return err
 	}
@@ -193,7 +196,7 @@ func compress(args []string) error {
 	if pre != nil {
 		err = res.WriteWireDictResult(w, ref)
 	} else {
-		err = res.WriteWire(w)
+		err = res.WriteWire(w, lzwtc.WithTrace(rctx, rec))
 	}
 	if err != nil {
 		return err
@@ -203,6 +206,9 @@ func compress(args []string) error {
 	}
 	fmt.Fprintf(os.Stderr, "compressed %d patterns x %d bits: %d -> %d bits (%.2f%%)\n",
 		res.Patterns, res.Width, res.OriginalBits, res.CompressedBits(), 100*res.Ratio())
+	// End the root before finish() flushes and closes the event sinks;
+	// the deferred End (error paths) is then a no-op.
+	sp.End(telemetry.F("patterns", res.Patterns))
 	return finish()
 }
 
@@ -219,6 +225,8 @@ func decompress(args []string) error {
 	if err != nil {
 		return err
 	}
+	rctx, sp := rec.StartSpan(context.Background(), SpanCLIDecompress)
+	defer sp.End()
 
 	r, err := openIn(*in)
 	if err != nil {
@@ -228,9 +236,7 @@ func decompress(args []string) error {
 	// A container naming a shared dictionary resolves it through the
 	// local store; plain containers never open the store. Anything that
 	// is not a wire container fails with ErrWireBadMagic.
-	sp := rec.Span("decompress")
-	ts, err := lzwtc.DecompressWireDict(r, lazyDictResolver{dir: *dictStore}, lzwtc.WithTrace(context.Background(), rec))
-	sp.End(telemetry.F("patterns", patternCount(ts)))
+	ts, err := lzwtc.DecompressWireDict(r, lazyDictResolver{dir: *dictStore}, lzwtc.WithTrace(rctx, rec))
 	if err != nil {
 		return err
 	}
@@ -245,6 +251,7 @@ func decompress(args []string) error {
 	if err := w.Close(); err != nil {
 		return err
 	}
+	sp.End(telemetry.F("patterns", len(ts.Cubes)))
 	return finish()
 }
 

@@ -24,8 +24,8 @@ import (
 //     asserted somewhere in that package's tests (by const reference or
 //     literal value), so /metrics output and tests cannot drift apart.
 //
-// The same contract extends to trace spans: every Recorder.Span and
-// Recorder.StartSpan name must be a compile-time string constant in the
+// The same contract extends to trace spans: every Recorder.StartSpan
+// name must be a compile-time string constant in the
 // dotted-lowercase span grammar (span names feed PhaseMetricName
 // histograms and trace dashboards), and in MetricAssertPaths packages
 // each span name must be asserted in that package's tests.
@@ -66,8 +66,8 @@ func (c metricNameCheck) Run(cfg *Config, pkgs []*Package) []Diagnostic {
 				if !ok {
 					return true
 				}
-				if idx, ok := spanCall(cfg, pkg, call); ok && len(call.Args) > idx {
-					nameArg := call.Args[idx]
+				if spanCall(cfg, pkg, call) && len(call.Args) > 1 {
+					nameArg := call.Args[1]
 					tv, hasTV := pkg.Info.Types[nameArg]
 					if !hasTV || tv.Value == nil || tv.Value.Kind() != constant.String {
 						report(pkg, nameArg, "span name "+exprString(nameArg)+
@@ -189,31 +189,18 @@ func (c metricNameCheck) Run(cfg *Config, pkgs []*Package) []Diagnostic {
 	return diags
 }
 
-// spanCall reports whether call starts a trace or phase span on the
-// telemetry Recorder, returning the index of the name argument
-// (Span(name), StartSpan(ctx, name)).
-func spanCall(cfg *Config, pkg *Package, call *ast.CallExpr) (int, bool) {
+// spanCall reports whether call starts a trace span on the telemetry
+// Recorder: StartSpan(ctx, name), the name being the second argument.
+func spanCall(cfg *Config, pkg *Package, call *ast.CallExpr) bool {
 	sel, ok := call.Fun.(*ast.SelectorExpr)
-	if !ok {
-		return 0, false
-	}
-	var idx int
-	switch sel.Sel.Name {
-	case "Span":
-		idx = 0
-	case "StartSpan":
-		idx = 1
-	default:
-		return 0, false
+	if !ok || sel.Sel.Name != "StartSpan" {
+		return false
 	}
 	recv := typeNamed(pkg.Info.TypeOf(sel.X))
 	if recv == nil || recv.Obj().Name() != "Recorder" || recv.Obj().Pkg() == nil {
-		return 0, false
+		return false
 	}
-	if !matchPath(recv.Obj().Pkg().Path(), cfg.TelemetryPaths) {
-		return 0, false
-	}
-	return idx, true
+	return matchPath(recv.Obj().Pkg().Path(), cfg.TelemetryPaths)
 }
 
 // registryCall reports whether call registers a metric on the telemetry

@@ -79,20 +79,6 @@ type TraceEvent struct {
 	NewEntry  *TraceEntry
 }
 
-// String renders the event as one Figure 3 row, for human-readable
-// event sinks (the JSONL sink marshals the struct itself).
-func (ev TraceEvent) String() string {
-	em, ne := "-", "-"
-	if ev.Emitted != nil {
-		em = fmt.Sprintf("%d", *ev.Emitted)
-	}
-	if ev.NewEntry != nil {
-		ne = fmt.Sprintf("%d=%s", ev.NewEntry.Code, ev.NewEntry.Str)
-	}
-	return fmt.Sprintf("step=%d buffer=%s(%s) in=%s raw=%s out=%s new=%s",
-		ev.Step, ev.Buffer, ev.BufferStr, ev.Input, ev.RawInput, em, ne)
-}
-
 // Compress compresses a three-valued stream under cfg. WithTrace
 // instruments the run: per-code match-length and dictionary-occupancy
 // histograms into the recorder's registry, a run record
@@ -105,30 +91,16 @@ func Compress(stream *bitvec.Vector, cfg Config, opts ...Option) (*Result, error
 }
 
 // CompressTrace is Compress with a per-step trace callback (used to
-// regenerate the paper's Figure 3). The callback rides the telemetry
-// event stream: each EventCompressStep event carries one TraceEvent,
-// and the adapter sink below hands it to fn in emission order.
+// regenerate the paper's Figure 3): the match loop hands each step to
+// trace in order. A nil trace is plain Compress.
 func CompressTrace(stream *bitvec.Vector, cfg Config, trace func(TraceEvent)) (*Result, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	return compressInternal(context.Background(), stream, cfg, traceRecorder(trace), func() (*dict, error) { return acquireDict(cfg, nil), nil })
+	return compressInternal(context.Background(), stream, cfg, nil, trace, func() (*dict, error) { return acquireDict(cfg, nil), nil })
 }
 
-// traceRecorder adapts a TraceEvent callback into an events-only
-// telemetry recorder.
-func traceRecorder(trace func(TraceEvent)) *telemetry.Recorder {
-	if trace == nil {
-		return nil
-	}
-	return telemetry.New(nil, telemetry.SinkFunc(func(ev telemetry.Event) {
-		if te, ok := StepTraceEvent(ev); ok {
-			trace(te)
-		}
-	}))
-}
-
-func compressInternal(ctx context.Context, stream *bitvec.Vector, cfg Config, rec *telemetry.Recorder, mk func() (*dict, error)) (*Result, error) {
+func compressInternal(ctx context.Context, stream *bitvec.Vector, cfg Config, rec *telemetry.Recorder, step func(TraceEvent), mk func() (*dict, error)) (*Result, error) {
 	res := &Result{Cfg: cfg, InputBits: stream.Len()}
 	res.Stats.InputBits = stream.Len()
 	if stream.Len() == 0 {
@@ -152,8 +124,8 @@ func compressInternal(ctx context.Context, stream *bitvec.Vector, cfg Config, re
 	}
 	defer releaseDict(d)
 	_, msp := rec.StartSpan(ctx, SpanMatchLoop)
-	e := &encoder{cfg: cfg, d: d, res: res, stream: stream, rec: rec,
-		m: newCompressMetrics(rec, cfg), tracing: rec.Tracing(), fullMask: fullMask}
+	e := &encoder{cfg: cfg, d: d, res: res, stream: stream,
+		m: newCompressMetrics(rec, cfg), step: step, fullMask: fullMask}
 
 	// Step a of Figure 3: the first message character initializes Buffer.
 	val, care := stream.Chunk(0, cc)
@@ -257,7 +229,7 @@ func compressInternal(ctx context.Context, stream *bitvec.Vector, cfg Config, re
 			}
 			buffer = child
 			bufLen++
-			if e.tracing {
+			if e.step != nil {
 				e.traceStep(buffer, pos, false, nil, nil)
 			}
 			continue
@@ -304,13 +276,13 @@ func compressInternal(ctx context.Context, stream *bitvec.Vector, cfg Config, re
 			if n := bufLen + 1; n > maxEntry {
 				maxEntry = n
 			}
-			if e.tracing {
+			if e.step != nil {
 				newEntry = &TraceEntry{Code: newCode, Str: stringBits(d, newCode, cc)}
 			}
 		}
 		buffer = Code(concrete)
 		bufLen = 1
-		if e.tracing {
+		if e.step != nil {
 			// Taking the emitted code's address here would make it escape
 			// into traceStep on every iteration; only traced runs pay it.
 			emitted := codes[len(codes)-1]
@@ -342,7 +314,7 @@ func compressInternal(ctx context.Context, stream *bitvec.Vector, cfg Config, re
 	}
 	res.Stats.LiteralCodes += litCodes
 	res.Stats.StringCodes += strCodes
-	if e.tracing {
+	if e.step != nil {
 		last := codes[len(codes)-1]
 		e.traceStep(buffer, 0, true, &last, nil)
 	}
@@ -361,12 +333,11 @@ type encoder struct {
 	d        *dict
 	res      *Result
 	stream   *bitvec.Vector
-	rec      *telemetry.Recorder
 	m        *compressMetrics
-	tracing  bool
+	step     func(TraceEvent) // Figure 3 step hook; nil on untraced runs
 	fullMask uint64
 	lastBit  uint64
-	step     int
+	steps    int
 }
 
 // fill concretizes a three-valued character per the residual fill policy,
@@ -402,20 +373,20 @@ func (e *encoder) fill(val, care uint64) uint64 {
 	return out
 }
 
-// traceStep emits one Figure 3 step as an EventCompressStep telemetry
-// event. rawPos is the stream position of the character just consumed;
-// atEnd marks the final flush step, which has no input character. The
-// whole rendering — buffer labels, uncompressed strings, the raw
-// three-valued character — is gated on tracing, so untraced runs never
-// build a single step string.
+// traceStep hands one Figure 3 step to the step hook. rawPos is the
+// stream position of the character just consumed; atEnd marks the final
+// flush step, which has no input character. The whole rendering —
+// buffer labels, uncompressed strings, the raw three-valued character —
+// is gated on the hook, so untraced runs never build a single step
+// string.
 func (e *encoder) traceStep(buffer Code, rawPos int, atEnd bool, emitted *Code, entry *TraceEntry) {
-	if !e.tracing {
+	if e.step == nil {
 		return
 	}
 	cc := e.cfg.CharBits
 	bufStr := stringBits(e.d, buffer, cc)
 	ev := TraceEvent{
-		Step:      e.step,
+		Step:      e.steps,
 		Buffer:    bufferLabel(e.d, buffer, cc),
 		BufferStr: bufStr,
 		Emitted:   emitted,
@@ -425,8 +396,8 @@ func (e *encoder) traceStep(buffer Code, rawPos int, atEnd bool, emitted *Code, 
 		ev.RawInput = rawChar(e.stream, rawPos, cc)
 		ev.Input = bufStr[len(bufStr)-cc:]
 	}
-	e.rec.Emit(EventCompressStep, telemetry.F("event", ev))
-	e.step++
+	e.step(ev)
+	e.steps++
 }
 
 // charBits renders a character value as C_C bits in stream order

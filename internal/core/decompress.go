@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"lzwtc/internal/bitvec"
+	"lzwtc/internal/telemetry"
 )
 
 // DecompressTraceEvent reports one decompressor step, mirroring the
@@ -33,6 +34,21 @@ func DecompressTrace(codes []Code, cfg Config, outBits int, trace func(Decompres
 		return nil, err
 	}
 	return decompressWithDict(codes, cfg, outBits, trace, func() (*dict, error) { return acquireDict(cfg, nil), nil })
+}
+
+// Deserialize splits a decompressed C_C-aligned stream back into its
+// width-bit patterns (bitvec.DeserializeAligned). WithTrace records it
+// as a SpanDeserialize child span, the mirror of the serialize span on
+// the compress side; without a recorder it adds one pointer check.
+func Deserialize(stream *bitvec.Vector, width, charBits int, opts ...Option) (*bitvec.CubeSet, error) {
+	o := options(opts)
+	_, sp := o.rec.StartSpan(o.ctx, SpanDeserialize)
+	ts, err := bitvec.DeserializeAligned(stream, width, charBits)
+	// Guarded: boxing the field allocates even when the span is nil.
+	if sp != nil {
+		sp.End(telemetry.F("bits", stream.Len()))
+	}
+	return ts, err
 }
 
 func decompressWithDict(codes []Code, cfg Config, outBits int, trace func(DecompressTraceEvent), mk func() (*dict, error)) (*bitvec.Vector, error) {

@@ -140,7 +140,7 @@ func CompressWithPreload(stream *bitvec.Vector, cfg Config, pre *Preload, opts .
 		return nil, err
 	}
 	o := options(opts)
-	return compressInternal(o.ctx, stream, cfg, o.rec, func() (*dict, error) { return preloadedDict(cfg, pre, o.rec) })
+	return compressInternal(o.ctx, stream, cfg, o.rec, nil, func() (*dict, error) { return preloadedDict(cfg, pre, o.rec) })
 }
 
 // DecompressWithPreload inverts CompressWithPreload; a nil or empty

@@ -36,14 +36,11 @@ func options(opts []Option) Option {
 	return o
 }
 
-// Event kinds the compressor and software decompressor emit through a
-// telemetry recorder. Per-step events carry their paper-figure payload
-// under the "event" field; run events summarize a whole stream.
-const (
-	EventCompressStep   = "compress.step"   // one TraceEvent per Figure 3 step
-	EventCompressRun    = "compress.run"    // one summary record per compression run
-	EventDecompressStep = "decompress.step" // one DecompressTraceEvent per Figure 4 step
-)
+// EventCompressRun is the event kind of the one summary record each
+// compression run emits through a telemetry recorder. Per-step data
+// never rides the event stream: it goes to the CompressTrace and
+// DecompressTrace hooks only.
+const EventCompressRun = "compress.run"
 
 // Registry metric names for the compressor. Counters aggregate across
 // runs; the histograms observe per-code quantities (the raw material of
@@ -166,20 +163,4 @@ func recordCompressRun(rec *telemetry.Recorder, st Stats) {
 		telemetry.F("ratio", st.Ratio()),
 		telemetry.F("stats", st),
 	)
-}
-
-// StepTraceEvent extracts the Figure 3 TraceEvent payload from an
-// EventCompressStep telemetry event. The CompressTrace callback API is
-// rebuilt from exactly this, so a JSONL sink and a trace callback see
-// the same step stream.
-func StepTraceEvent(ev telemetry.Event) (TraceEvent, bool) {
-	if ev.Kind != EventCompressStep {
-		return TraceEvent{}, false
-	}
-	v, ok := ev.Field("event")
-	if !ok {
-		return TraceEvent{}, false
-	}
-	te, ok := v.(TraceEvent)
-	return te, ok
 }

@@ -3,6 +3,7 @@ package core
 import (
 	"bytes"
 	"context"
+	"encoding/json"
 	"fmt"
 	"strings"
 	"testing"
@@ -66,35 +67,40 @@ func TestCompressTraceEventOrder(t *testing.T) {
 	}
 }
 
-// TestCompressStepEventsMatchTraceCallback runs the same stream through
-// a JSONL sink and through the CompressTrace callback; both ride the
-// same EventCompressStep stream, so the step counts must agree and the
-// sink lines must carry the step payload.
-func TestCompressStepEventsMatchTraceCallback(t *testing.T) {
+// TestCompressSinkGetsNoStepEvents: an event sink sees a run as its
+// summary record plus its phase spans. Per-step data goes only to the
+// CompressTrace hook, so the sink's line count does not grow with the
+// stream.
+func TestCompressSinkGetsNoStepEvents(t *testing.T) {
 	stream := bitvec.MustParse("01XX10XX0X110X00")
 	cfg := Config{CharBits: 1, DictSize: 8, EntryBits: 0}
-
-	var steps int
-	if _, err := CompressTrace(stream, cfg, func(TraceEvent) { steps++ }); err != nil {
-		t.Fatal(err)
-	}
 
 	var buf bytes.Buffer
 	rec := telemetry.New(nil, telemetry.NewJSONLSink(&buf))
 	if _, err := Compress(stream, cfg, WithTrace(context.Background(), rec)); err != nil {
 		t.Fatal(err)
 	}
-	var sinkSteps int
+	kinds := map[string]int{}
+	var matchLoop int
 	for _, line := range strings.Split(strings.TrimSpace(buf.String()), "\n") {
-		if strings.Contains(line, `"kind":"compress.step"`) {
-			sinkSteps++
+		var ev struct{ Kind, Name string }
+		if err := json.Unmarshal([]byte(line), &ev); err != nil {
+			t.Fatalf("bad JSONL line %q: %v", line, err)
+		}
+		kinds[ev.Kind]++
+		if ev.Kind == telemetry.EventTraceSpan && ev.Name == SpanMatchLoop {
+			matchLoop++
 		}
 	}
-	if sinkSteps != steps {
-		t.Fatalf("sink saw %d step events, trace callback saw %d", sinkSteps, steps)
+	if kinds[EventCompressRun] != 1 || matchLoop != 1 {
+		t.Fatalf("want one %s record and one %s span; kinds %v, match-loop spans %d",
+			EventCompressRun, SpanMatchLoop, kinds, matchLoop)
 	}
-	if !strings.Contains(buf.String(), `"kind":"compress.run"`) {
-		t.Fatalf("sink missing compress.run record:\n%s", buf.String())
+	for k := range kinds {
+		if k != EventCompressRun && k != telemetry.EventTraceSpan {
+			t.Fatalf("sink got event kind %q; only %s and %s belong on the stream:\n%s",
+				k, EventCompressRun, telemetry.EventTraceSpan, buf.String())
+		}
 	}
 }
 

@@ -23,6 +23,7 @@ import (
 	"lzwtc/internal/mem"
 	"lzwtc/internal/report"
 	"lzwtc/internal/rle"
+	"lzwtc/internal/telemetry"
 )
 
 // LZWConfig returns the paper's Table 1/3 configuration for a circuit:
@@ -203,7 +204,27 @@ func Names() []string {
 }
 
 // Run dispatches an experiment by name and returns its rendering.
-func Run(name string) (*report.Table, error) {
+// workers bounds the pool-backed sweep tables (<= 0 means GOMAXPROCS)
+// and ctx cancels them; experiments that are not grids run
+// sequentially but still honor a pre-canceled context. A non-nil rec
+// records the run under a SpanExperimentRun span and emits one EventRow
+// record per table row; a nil rec runs uninstrumented.
+func Run(ctx context.Context, name string, workers int, rec *telemetry.Recorder) (*report.Table, error) {
+	_, sp := rec.StartSpan(ctx, SpanExperimentRun)
+	t, err := run(ctx, name, workers)
+	if err != nil {
+		sp.End(telemetry.F("experiment", name), telemetry.F("error", err.Error()))
+		return nil, err
+	}
+	recordRows(rec, name, t)
+	sp.End(telemetry.F("experiment", name), telemetry.F("rows", len(t.Rows)))
+	return t, nil
+}
+
+func run(ctx context.Context, name string, workers int) (*report.Table, error) {
+	if err := ctx.Err(); err != nil {
+		return nil, err
+	}
 	switch name {
 	case "table1":
 		return Table1()
@@ -212,11 +233,11 @@ func Run(name string) (*report.Table, error) {
 	case "table3":
 		return Table3()
 	case "table4":
-		return Table4()
+		return Table4Ctx(ctx, workers)
 	case "table5":
-		return Table5()
+		return Table5Ctx(ctx, workers)
 	case "table6":
-		return Table6()
+		return Table6Ctx(ctx, workers)
 	case "figure3":
 		return Figure3()
 	case "figure4":

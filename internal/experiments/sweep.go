@@ -196,21 +196,3 @@ func Table6Ctx(ctx context.Context, workers int) (*report.Table, error) {
 	}
 	return t, nil
 }
-
-// RunCtx dispatches an experiment by name with context cancellation and
-// a worker bound for the pool-backed sweeps. Experiments that are not
-// grids run sequentially but still honor a pre-canceled context.
-func RunCtx(ctx context.Context, name string, workers int) (*report.Table, error) {
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	switch name {
-	case "table4":
-		return Table4Ctx(ctx, workers)
-	case "table5":
-		return Table5Ctx(ctx, workers)
-	case "table6":
-		return Table6Ctx(ctx, workers)
-	}
-	return Run(name)
-}

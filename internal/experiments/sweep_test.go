@@ -47,29 +47,30 @@ func TestRunCtxCanceled(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	for _, name := range Names() {
-		if _, err := RunCtx(ctx, name, 2); !errors.Is(err, context.Canceled) {
+		if _, err := Run(ctx, name, 2, nil); !errors.Is(err, context.Canceled) {
 			t.Fatalf("%s under canceled context: err = %v, want context.Canceled", name, err)
 		}
 	}
 }
 
-// TestRunCtxDispatch: RunCtx serves the same experiment set as Run.
+// TestRunCtxDispatch: a worker-bounded Run serves the same experiment
+// set, and the same rows, as the default one.
 func TestRunCtxDispatch(t *testing.T) {
-	if _, err := RunCtx(context.Background(), "no-such-table", 1); err == nil {
+	if _, err := Run(context.Background(), "no-such-table", 1, nil); err == nil {
 		t.Fatal("unknown experiment did not error")
 	}
 	if testing.Short() {
 		t.Skip("full workloads in -short mode")
 	}
-	seq, err := Run("table6")
+	seq, err := Table6()
 	if err != nil {
 		t.Fatal(err)
 	}
-	par, err := RunCtx(context.Background(), "table6", 3)
+	par, err := Run(context.Background(), "table6", 3, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if fmt.Sprint(par.Rows) != fmt.Sprint(seq.Rows) {
-		t.Fatalf("table6 rows differ between Run and RunCtx:\n%v\nvs\n%v", par.Rows, seq.Rows)
+		t.Fatalf("table6 rows differ between Table6 and a 3-worker Run:\n%v\nvs\n%v", par.Rows, seq.Rows)
 	}
 }

@@ -1,42 +1,29 @@
 package experiments
 
 import (
-	"context"
-
 	"lzwtc/internal/report"
 	"lzwtc/internal/telemetry"
 )
 
-// EventRow is the per-row record RunObserved emits: one per table row,
-// which for every experiment here means one per circuit.
+// EventRow is the per-row record an instrumented Run emits: one per
+// table row, which for every experiment here means one per circuit.
 const EventRow = "experiment.row"
 
-// MetricRows counts table rows produced across all observed experiment
-// runs.
+// MetricRows counts table rows produced across all instrumented
+// experiment runs.
 const MetricRows = "lzwtc_experiment_rows_total"
 
-// SpanExperimentRun is the span every observed experiment runs under;
-// the experiment's name travels as an "experiment" field rather than in
-// the span name, so the phase histogram stays one bounded series.
+// SpanExperimentRun is the span every instrumented experiment runs
+// under; the experiment's name travels as an "experiment" field rather
+// than in the span name, so the phase histogram stays one bounded
+// series.
 const SpanExperimentRun = "experiment.run"
 
-// RunObserved is Run instrumented through a telemetry recorder: the
-// whole experiment runs under a SpanExperimentRun span, and each
-// produced row is emitted as an EventRow record keyed by the table's
-// column headers. A nil recorder reduces to Run.
-func RunObserved(name string, rec *telemetry.Recorder) (*report.Table, error) {
-	return RunObservedCtx(context.Background(), name, 0, rec)
-}
-
-// RunObservedCtx is RunObserved with context cancellation and a worker
-// bound for the pool-backed sweep tables (workers <= 0 means
-// GOMAXPROCS).
-func RunObservedCtx(ctx context.Context, name string, workers int, rec *telemetry.Recorder) (*report.Table, error) {
-	sp := rec.Span(SpanExperimentRun)
-	t, err := RunCtx(ctx, name, workers)
-	if err != nil {
-		sp.End(telemetry.F("experiment", name), telemetry.F("error", err.Error()))
-		return nil, err
+// recordRows counts t's rows in the registry and emits each as an
+// EventRow record keyed by the table's column headers. Nil-safe.
+func recordRows(rec *telemetry.Recorder, name string, t *report.Table) {
+	if rec == nil {
+		return
 	}
 	if reg := rec.Registry(); reg != nil {
 		reg.Counter(MetricRows, "experiment table rows produced").Add(int64(len(t.Rows)))
@@ -53,6 +40,4 @@ func RunObservedCtx(ctx context.Context, name string, workers int, rec *telemetr
 		}
 		rec.Emit(EventRow, fields...)
 	}
-	sp.End(telemetry.F("experiment", name), telemetry.F("rows", len(t.Rows)))
-	return t, nil
 }

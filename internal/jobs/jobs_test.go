@@ -437,9 +437,6 @@ func TestRetryAfterClamped(t *testing.T) {
 
 func TestProgressSinkCountsPoolJobSpans(t *testing.T) {
 	var pr Progress
-	if pr.WantsSteps() {
-		t.Fatal("Progress must opt out of per-step events")
-	}
 	pr.SetTotal(3)
 	// One pool job span, one unrelated span, one non-span event: only
 	// the batch.job completion may tick the counter.

@@ -67,8 +67,7 @@ func (m *managerMetrics) init(rec *telemetry.Recorder) {
 // implements telemetry.Sink and counts the parallel pool's batch.job
 // span completions, so wiring it as a sink on the job's recorder makes
 // every pool sub-job (one per shard frame) tick the status endpoint's
-// frames_done. It opts out of per-step events, so attaching it never
-// re-enables the compressor's step-tracing hot path.
+// frames_done.
 type Progress struct {
 	done  atomic.Int64
 	total atomic.Int64
@@ -97,9 +96,6 @@ func (p *Progress) Snapshot() (done, total int) {
 	}
 	return int(p.done.Load()), int(p.total.Load())
 }
-
-// WantsSteps opts out of per-step compressor events (telemetry.StepSink).
-func (p *Progress) WantsSteps() bool { return false }
 
 // Emit implements telemetry.Sink: each completed pool job span
 // advances the frame counter.

@@ -167,7 +167,7 @@ func decompressShardedPre(ctx context.Context, s *ShardedResult, pre *core.Prelo
 		if e != nil {
 			return nil, e
 		}
-		return bitvec.DeserializeAligned(stream, s.Width, s.Cfg.CharBits)
+		return core.Deserialize(stream, s.Width, s.Cfg.CharBits, core.WithTrace(jctx, opts.Recorder))
 	})
 	if err != nil {
 		return nil, fmt.Errorf("parallel: sharded decompression: %w", err)

@@ -87,8 +87,9 @@ func TestBatchTraceLinkage(t *testing.T) {
 	}
 }
 
-// TestShardedTraceLinkage: sharded compression serializes per shard;
-// those spans must also join the caller's trace.
+// TestShardedTraceLinkage: sharded compression serializes per shard
+// and sharded decompression deserializes per shard; those spans must
+// also join the caller's trace.
 func TestShardedTraceLinkage(t *testing.T) {
 	cap := &spanCapture{}
 	rec := telemetry.New(telemetry.NewRegistry(), cap)
@@ -96,22 +97,32 @@ func TestShardedTraceLinkage(t *testing.T) {
 
 	cs := testSet(9, 40, 61, 0.8)
 	cfg := core.Config{CharBits: 4, DictSize: 64, EntryBits: 16}
-	if _, err := CompressSharded(ctx, cs, cfg, 10, Options{Workers: 2, Recorder: rec}); err != nil {
+	sr, err := CompressSharded(ctx, cs, cfg, 10, Options{Workers: 2, Recorder: rec})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := DecompressSharded(ctx, sr, Options{Workers: 2, Recorder: rec}); err != nil {
 		t.Fatal(err)
 	}
 	root.End()
 
 	trace := root.Context().String()[:16]
-	var serialize int
+	var serialize, deserialize int
 	for _, s := range cap.spans {
 		if s.TraceID != trace {
 			t.Fatalf("span %s escaped the trace: %s != %s", s.Name, s.TraceID, trace)
 		}
-		if s.Name == core.SpanSerialize {
+		switch s.Name {
+		case core.SpanSerialize:
 			serialize++
+		case core.SpanDeserialize:
+			deserialize++
 		}
 	}
 	if serialize < 2 {
 		t.Fatalf("sharded run produced %d serialize spans, want one per shard (>=2)", serialize)
+	}
+	if deserialize != len(sr.Shards) {
+		t.Fatalf("sharded decompression produced %d deserialize spans, want one per shard (%d)", deserialize, len(sr.Shards))
 	}
 }

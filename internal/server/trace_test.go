@@ -17,6 +17,7 @@ import (
 	"lzwtc"
 	"lzwtc/client"
 	"lzwtc/internal/core"
+	"lzwtc/internal/jobs"
 	"lzwtc/internal/parallel"
 	"lzwtc/internal/server"
 	"lzwtc/internal/telemetry"
@@ -412,5 +413,87 @@ func TestStatsArenaKeyParity(t *testing.T) {
 	}
 	if stats.DictPoolRecycles < 1 {
 		t.Fatalf("dict_pool_recycles = %d after repeated compresses, want >= 1", stats.DictPoolRecycles)
+	}
+}
+
+// eventCounter is a server sink counting every event, and how many
+// spans of each name have ended, so a test can wait for a request's
+// last span before reading the count.
+type eventCounter struct {
+	mu    sync.Mutex
+	total int
+	ended map[string]int
+}
+
+func (c *eventCounter) Emit(ev telemetry.Event) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	c.total++
+	if rec, ok := telemetry.SpanRecordFromEvent(ev); ok {
+		c.ended[rec.Name]++
+	}
+}
+
+func (c *eventCounter) read(span string) (total, ended int) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return c.total, c.ended[span]
+}
+
+// eventsFor runs one request and returns how many events the server
+// emitted for it, counted once the request's last span (last) has
+// ended.
+func eventsFor(t *testing.T, c *eventCounter, last string, do func()) int {
+	t.Helper()
+	before, ended := c.read(last)
+	do()
+	deadline := time.Now().Add(10 * time.Second)
+	for {
+		total, n := c.read(last)
+		if n > ended {
+			return total - before
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("no %s span ended within the deadline", last)
+		}
+		time.Sleep(time.Millisecond)
+	}
+}
+
+// TestEventsPerRequestIndependentOfInputSize: span logging costs a
+// fixed number of events per request. A sink in Config.Sinks sees as
+// many events for a body ten times larger, on the sync compress
+// endpoint and on the async job tier alike; nothing is emitted per
+// character.
+func TestEventsPerRequestIndependentOfInputSize(t *testing.T) {
+	counter := &eventCounter{ended: map[string]int{}}
+	c, _ := startService(t, server.Config{Sinks: []telemetry.Sink{counter}})
+	ctx := context.Background()
+	cfg := lzwtc.Config{CharBits: 4, DictSize: 64, EntryBits: 16}
+	small, large := bigSet(t, 8, 64), bigSet(t, 80, 64)
+
+	syncEvents := func(ts *lzwtc.TestSet) int {
+		return eventsFor(t, counter, server.SpanCompress, func() {
+			if _, err := c.Compress(ctx, ts, cfg, client.CompressOptions{}); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+	jobEvents := func(ts *lzwtc.TestSet) int {
+		return eventsFor(t, counter, jobs.SpanJobRun, func() {
+			if _, err := c.SubmitCompressJob(ctx, ts, cfg, client.CompressOptions{}); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+	for _, tier := range []struct {
+		name   string
+		events func(*lzwtc.TestSet) int
+	}{{"sync", syncEvents}, {"async", jobEvents}} {
+		s, l := tier.events(small), tier.events(large)
+		if s == 0 || l != s {
+			t.Fatalf("%s compress: %d events for %d patterns, %d for %d; want the same nonzero count",
+				tier.name, s, len(small.Cubes), l, len(large.Cubes))
+		}
 	}
 }

@@ -31,7 +31,9 @@ func checkGolden(t *testing.T, name string, got []byte) {
 }
 
 // goldenEvents drives a deterministic event sequence shaped like a real
-// run: a compress run record, a per-pattern decomp record, and a span.
+// run: a compress run record, a per-pattern decomp record, and a trace
+// span. The span event is emitted directly with fixed IDs; StartSpan
+// would mint random ones.
 func goldenEvents(s Sink) {
 	rec := NewWithClock(nil, fakeClock(1500*time.Microsecond), s)
 	rec.Emit("compress.run",
@@ -41,7 +43,13 @@ func goldenEvents(s Sink) {
 		F("policy", "freeze"),
 	)
 	rec.Emit("decomp.pattern", F("index", 0), F("internal_cycles", 733))
-	rec.Span("verify").End()
+	rec.Emit(EventTraceSpan,
+		F("trace_id", "00000000000000aa"),
+		F("span_id", "00000000000000bb"),
+		F("name", "verify"),
+		F("start_unix_us", int64(0)),
+		F("dur_us", int64(1500)),
+	)
 	rec.Emit("compress.run", F("empty", true))
 }
 

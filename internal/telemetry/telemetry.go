@@ -32,8 +32,8 @@ type Field struct {
 // F builds a Field.
 func F(key string, value any) Field { return Field{Key: key, Value: value} }
 
-// Event is one timestamped occurrence in a run: a compressor step, a
-// phase-span completion, a per-pattern cycle record. Elapsed is the
+// Event is one timestamped occurrence in a run: a trace-span
+// completion, a run summary, a per-pattern cycle record. Elapsed is the
 // offset from the Recorder's start, which keeps event streams
 // deterministic under an injected clock.
 type Event struct {
@@ -54,23 +54,8 @@ func (e Event) Field(key string) (any, bool) {
 
 // Sink consumes events. Sinks are driven under the Recorder's lock and
 // need no internal synchronization.
-//
-// A sink may additionally implement StepSink to opt out of the
-// high-volume per-step event stream; sinks without the method receive
-// everything.
 type Sink interface {
 	Emit(Event)
-}
-
-// StepSink is optionally implemented by sinks to declare whether they
-// consume per-step events (one per compressor iteration). A sink that
-// returns false still receives every event that is emitted, but a
-// recorder whose sinks all return false reports Tracing() == false, so
-// hot loops skip building step payloads entirely. The ring-buffer
-// TraceBuffer returns false; the text and JSONL sinks do not implement
-// the interface and so keep the full stream.
-type StepSink interface {
-	WantsSteps() bool
 }
 
 // SinkFunc adapts a function to the Sink interface.
@@ -83,13 +68,12 @@ func (f SinkFunc) Emit(ev Event) { f(ev) }
 // A nil Recorder is the disabled instrumentation: every method is a
 // nil-safe no-op, so callers thread one pointer unconditionally.
 type Recorder struct {
-	reg     *Registry
-	sinks   []Sink
-	now     func() time.Time
-	start   time.Time
-	proc    string // process name stamped on trace spans; see WithProcess
-	tracing bool   // any sink wants per-step events; fixed at construction
-	mu      sync.Mutex // serializes sink emission
+	reg   *Registry
+	sinks []Sink
+	now   func() time.Time
+	start time.Time
+	proc  string     // process name stamped on trace spans; see WithProcess
+	mu    sync.Mutex // serializes sink emission
 }
 
 // New builds a Recorder over an optional registry and sinks. Either may
@@ -102,26 +86,11 @@ func New(reg *Registry, sinks ...Sink) *Recorder {
 // NewWithClock is New with an injected clock, for deterministic event
 // timestamps in tests and golden files.
 func NewWithClock(reg *Registry, now func() time.Time, sinks ...Sink) *Recorder {
-	r := &Recorder{reg: reg, sinks: sinks, now: now, start: now()}
-	for _, s := range sinks {
-		if ss, ok := s.(StepSink); ok && !ss.WantsSteps() {
-			continue
-		}
-		r.tracing = true
-		break
-	}
-	return r
+	return &Recorder{reg: reg, sinks: sinks, now: now, start: now()}
 }
 
 // Enabled reports whether any instrumentation is attached.
 func (r *Recorder) Enabled() bool { return r != nil }
-
-// Tracing reports whether per-step events have anywhere to go: at
-// least one sink that does not opt out via StepSink. Hot loops gate
-// the construction of expensive event payloads on this, so a
-// metrics-only recorder — or one feeding only the trace ring buffer —
-// never pays for step rendering.
-func (r *Recorder) Tracing() bool { return r != nil && r.tracing }
 
 // Registry returns the metrics registry, or nil when disabled.
 func (r *Recorder) Registry() *Registry {
@@ -160,38 +129,6 @@ func emitContained(r *Recorder, i int, s Sink, ev Event) {
 		}
 	}()
 	s.Emit(ev)
-}
-
-// Span starts a named phase span (parse, compress, pack, decompress,
-// verify, or any sub-phase). End the returned span to record its
-// duration in the registry histogram lzwtc_phase_seconds_<name> and to
-// emit a "span" event. A nil Recorder returns a nil Span whose End is a
-// no-op.
-func (r *Recorder) Span(name string) *Span {
-	if r == nil {
-		return nil
-	}
-	return &Span{r: r, name: name, start: r.now()}
-}
-
-// Span is one in-flight phase timing. Created by Recorder.Span.
-type Span struct {
-	r     *Recorder
-	name  string
-	start time.Time
-}
-
-// End completes the span, recording its duration and emitting a "span"
-// event carrying the span name, duration and any extra fields.
-func (s *Span) End(fields ...Field) {
-	if s == nil {
-		return
-	}
-	d := s.r.now().Sub(s.start)
-	s.r.reg.Histogram(PhaseMetricName(s.name), "phase duration in seconds", DurationBuckets()).
-		Observe(d.Seconds())
-	ev := append([]Field{F("name", s.name), F("dur_us", d.Microseconds())}, fields...)
-	s.r.Emit("span", ev...)
 }
 
 // PhaseMetricName maps a span name to its registry histogram name,

@@ -1,6 +1,7 @@
 package telemetry
 
 import (
+	"context"
 	"math"
 	"sync"
 	"testing"
@@ -22,11 +23,12 @@ func TestNilSafety(t *testing.T) {
 	// nil dereference: this is the one-pointer-check contract the hot
 	// loop relies on.
 	var r *Recorder
-	if r.Enabled() || r.Tracing() {
+	if r.Enabled() {
 		t.Fatal("nil recorder reports enabled")
 	}
 	r.Emit("kind", F("k", 1))
-	r.Span("phase").End()
+	_, sp := r.StartSpan(context.Background(), "phase")
+	sp.End()
 	reg := r.Registry()
 	if reg != nil {
 		t.Fatal("nil recorder returned a registry")
@@ -52,7 +54,7 @@ func TestNilSafety(t *testing.T) {
 	if h.Count() != 0 || h.Sum() != 0 || len(h.Snapshot().Buckets) != 0 {
 		t.Fatal("nil histogram recorded an observation")
 	}
-	var s *Span
+	var s *TraceSpan
 	s.End()
 }
 
@@ -161,22 +163,23 @@ func TestSpanRecordsDurationAndEvent(t *testing.T) {
 	reg := NewRegistry()
 	var events []Event
 	rec := NewWithClock(reg, fakeClock(time.Millisecond), SinkFunc(func(ev Event) { events = append(events, ev) }))
-	sp := rec.Span("compress")
+	_, sp := rec.StartSpan(context.Background(), "compress")
 	sp.End(F("codes", 7))
 	h := reg.Histogram(PhaseMetricName("compress"), "", nil)
 	if h.Count() != 1 {
 		t.Fatalf("phase histogram count = %d, want 1", h.Count())
 	}
-	// The fake clock steps 1ms per reading; Span takes one reading at
-	// start and one at End, so the observed duration is exactly 1ms.
+	// The fake clock steps 1ms per reading; StartSpan takes one reading
+	// at start and End one more, so the observed duration is exactly 1ms.
 	if got := h.Sum(); math.Abs(got-0.001) > 1e-12 {
 		t.Fatalf("phase duration = %vs, want 0.001s", got)
 	}
-	if len(events) != 1 || events[0].Kind != "span" {
-		t.Fatalf("events = %+v, want one span event", events)
+	if len(events) != 1 || events[0].Kind != EventTraceSpan {
+		t.Fatalf("events = %+v, want one %s event", events, EventTraceSpan)
 	}
-	if name, _ := events[0].Field("name"); name != "compress" {
-		t.Fatalf("span name field = %v", name)
+	rec0, ok := SpanRecordFromEvent(events[0])
+	if !ok || rec0.Name != "compress" || rec0.DurUS != 1000 {
+		t.Fatalf("span record = %+v, %v; want name compress, 1000us", rec0, ok)
 	}
 	if codes, ok := events[0].Field("codes"); !ok || codes != 7 {
 		t.Fatalf("span extra field = %v, %v", codes, ok)

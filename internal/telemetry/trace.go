@@ -320,10 +320,6 @@ const maxSpansPerTrace = 512
 // more than its capacity in distinct traces, whole oldest traces are
 // evicted. Safe for concurrent Emit/Recent (it carries its own lock:
 // Recorder serializes Emit, but Recent is called from HTTP handlers).
-//
-// TraceBuffer wants only span events — it reports WantsSteps false, so
-// a recorder whose only sink is the ring buffer does not pay for
-// per-step event payload construction in the compress hot loop.
 type TraceBuffer struct {
 	mu       sync.Mutex
 	capacity int
@@ -342,9 +338,6 @@ func NewTraceBuffer(capacity int) *TraceBuffer {
 		byID:     make(map[string]*TraceRecord, capacity),
 	}
 }
-
-// WantsSteps reports that this sink has no use for per-step events.
-func (b *TraceBuffer) WantsSteps() bool { return false }
 
 // Emit implements Sink, retaining trace.span events and ignoring all
 // other kinds.

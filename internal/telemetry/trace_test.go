@@ -22,7 +22,7 @@ func TestSpanContextWireRoundTrip(t *testing.T) {
 	bad := []string{
 		"",
 		"short",
-		strings.Repeat("0", 33),                  // no dash
+		strings.Repeat("0", 33), // no dash
 		strings.Repeat("z", 16) + "-" + strings.Repeat("0", 15) + "1", // bad hex trace
 		strings.Repeat("0", 15) + "1-" + strings.Repeat("z", 16),      // bad hex span
 		strings.Repeat("0", 16) + "-" + strings.Repeat("0", 15) + "1", // zero trace id
@@ -158,9 +158,6 @@ func TestStartSpanNilRecorderZeroCost(t *testing.T) {
 
 func TestTraceBufferRingAndCaps(t *testing.T) {
 	b := NewTraceBuffer(2)
-	if !b.WantsSteps() == false {
-		t.Fatal("TraceBuffer must report WantsSteps false")
-	}
 	emit := func(trace, span string) {
 		b.Emit(Event{Kind: EventTraceSpan, Fields: []Field{
 			F("trace_id", trace), F("span_id", span), F("name", "n"),
@@ -207,25 +204,6 @@ func TestTraceBufferRingAndCaps(t *testing.T) {
 	}
 	if n := len(big.Recent(1)[0].Spans); n != maxSpansPerTrace {
 		t.Fatalf("trace grew to %d spans, cap is %d", n, maxSpansPerTrace)
-	}
-}
-
-func TestTracingGatedBySinkAppetite(t *testing.T) {
-	var nilRec *Recorder
-	if nilRec.Tracing() {
-		t.Fatal("nil recorder reports tracing")
-	}
-	if telemetryNew := New(NewRegistry()); telemetryNew.Tracing() {
-		t.Fatal("sinkless recorder reports tracing")
-	}
-	if rec := New(NewRegistry(), NewTraceBuffer(4)); rec.Tracing() {
-		t.Fatal("trace-buffer-only recorder must not pay for step events")
-	}
-	if rec := New(NewRegistry(), NewJSONLSink(&bytes.Buffer{})); !rec.Tracing() {
-		t.Fatal("JSONL sink wants the full stream")
-	}
-	if rec := New(NewRegistry(), NewTraceBuffer(4), NewTextSink(&bytes.Buffer{})); !rec.Tracing() {
-		t.Fatal("any full-stream sink enables tracing")
 	}
 }
 

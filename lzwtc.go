@@ -24,7 +24,6 @@
 package lzwtc
 
 import (
-	"context"
 	"fmt"
 	"io"
 
@@ -157,19 +156,7 @@ func Decompress(r *Result, opts ...Option) (*TestSet, error) {
 	if err != nil {
 		return nil, err
 	}
-	return deserialize(o.ctx, o.rec, stream, r.Width, r.Stream.Cfg.CharBits)
-}
-
-// deserialize is bitvec.DeserializeAligned under a core.deserialize
-// span, the mirror of Compress's core.serialize span.
-func deserialize(ctx context.Context, rec *Recorder, stream *Pattern, width, charBits int) (*TestSet, error) {
-	_, sp := rec.StartSpan(ctx, core.SpanDeserialize)
-	ts, err := bitvec.DeserializeAligned(stream, width, charBits)
-	// Guarded: boxing the field allocates even when the span is nil.
-	if sp != nil {
-		sp.End(telemetry.F("bits", stream.Len()))
-	}
-	return ts, err
+	return core.Deserialize(stream, r.Width, r.Stream.Cfg.CharBits, o.trace())
 }
 
 // DecompressedSetFromStream splits a concrete scan stream — e.g. the

@@ -3,8 +3,10 @@
 # ephemeral port (with the debug listener up), push one traced
 # compress/decompress round trip through `lzwtc remote`, check
 # /healthz, /v1/stats, /metrics SLO series, and /debug/trace/recent,
-# render the client-side trace with `lzwtc trace`, then SIGTERM the
-# server and require a clean (exit 0) graceful drain.
+# render the client-side trace with `lzwtc trace`, check that a local
+# traced compress renders as one trace, then SIGTERM the server, require
+# a clean (exit 0) graceful drain, and require that the server's event
+# capture carries no per-step events.
 set -eu
 
 WORK=$(mktemp -d)
@@ -66,6 +68,16 @@ SPAN_LINES=$(echo "$COMPRESS_BLOCK" | grep -c "total .*µs" || true)
     cat "$WORK/merged-trace.txt"; exit 1; }
 echo "smoke: merged trace spans=$SPAN_LINES"
 
+# A local compress captured with -telemetry jsonl is one trace: the
+# subcommand's root span with the core and wire phases beneath it.
+"$WORK/lzwtc" compress -in "$IN" -out "$WORK/local.lzw" -char 7 -dict 1024 -entry 63 \
+    -telemetry jsonl -telemetry-out "$WORK/local-spans.jsonl"
+"$WORK/lzwtc" trace -in "$WORK/local-spans.jsonl" >"$WORK/local-trace.txt"
+LOCAL_TRACES=$(grep -c "^trace " "$WORK/local-trace.txt" || true)
+[ "$LOCAL_TRACES" -eq 1 ] || {
+    echo "local compress capture renders as $LOCAL_TRACES traces, want 1"
+    cat "$WORK/local-trace.txt"; exit 1; }
+
 # SLO accounting: the compress round trip must show up in the
 # span-derived success-latency series on /metrics.
 curl -fsS -o "$WORK/metrics.txt" "$SERVER/metrics"
@@ -113,3 +125,13 @@ fi
 grep -q "drained, shutting down" "$WORK/lzwtcd.log" || {
     echo "missing drain message"; cat "$WORK/lzwtcd.log"; exit 1; }
 echo "smoke: clean drain"
+
+# Span logging costs a fixed number of events per request: the
+# server's capture holds run records and trace spans, never per-step
+# events.
+grep -q '"kind":"compress.run"' "$WORK/server-spans.jsonl" || {
+    echo "server event capture has no compress.run record"; exit 1; }
+if grep -q '"kind":"compress.step"' "$WORK/server-spans.jsonl"; then
+    echo "server event capture carries per-step compress.step events"; exit 1
+fi
+echo "smoke: server events $(wc -l <"$WORK/server-spans.jsonl") lines, no step events"

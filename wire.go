@@ -152,7 +152,7 @@ func decompressWire(ctx context.Context, r io.Reader, res DictResolver, rec *Rec
 		if err != nil {
 			return nil, wr.Frames(), fmt.Errorf("lzwtc: wire frame %d: %w", wr.Frames()-1, err)
 		}
-		group, err := deserialize(ctx, rec, stream, hdr.Width, hdr.Cfg.CharBits)
+		group, err := core.Deserialize(stream, hdr.Width, hdr.Cfg.CharBits, core.WithTrace(ctx, rec))
 		if err != nil {
 			return nil, wr.Frames(), fmt.Errorf("lzwtc: wire frame %d: %w", wr.Frames()-1, err)
 		}
